@@ -47,11 +47,13 @@
 //! sequence and NEXUS's bit-identical-output promise holds across kernel
 //! paths and thread counts.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use nexus_info::kernel::{self, KernelMode, ScanWidth};
-use nexus_info::{entropy_from_counts, entropy_mm, InfoContext, JointCounts, MemoKind};
+use nexus_info::{
+    entropy_from_counts, entropy_mm, InfoContext, JointCounts, MemoKind, OrderedMarginal,
+};
 use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{Bitmap, Codes};
 
@@ -132,7 +134,7 @@ impl CandStats {
     /// `I(O;T|E)` — the Min-CMI criterion value, Miller–Madow corrected so
     /// candidates with different complete-case supports compare fairly.
     pub fn cmi(&self) -> f64 {
-        (self.mm(self.h_oe) + self.mm(self.h_te) - self.mm(self.h_ote) - self.mm(self.h_e)).max(0.0)
+        cmi_mm(self.h_e, self.h_oe, self.h_te, self.h_ote, self.support)
     }
 
     /// Plug-in (uncorrected) `I(O;T|E)`.
@@ -179,6 +181,7 @@ struct Contingency {
     total: f64,
     /// Number of entities with in-context rows.
     n_entities_ctx: usize,
+    card_o: u32,
     card_t: u32,
 }
 
@@ -658,6 +661,7 @@ impl Contingency {
                 x_marginal,
                 total,
                 n_entities_ctx,
+                card_o: card_o as u32,
                 card_t: card_t as u32,
             }
         }
@@ -689,6 +693,7 @@ impl Contingency {
             x_marginal,
             total,
             n_entities_ctx,
+            card_o: card_o as u32,
             card_t: card_t as u32,
         }
     }
@@ -992,21 +997,34 @@ impl Engine {
 
     fn compute_stats(&self, set: &CandidateSet, cand: &Candidate) -> CandStats {
         match &cand.repr {
-            CandidateRepr::EntityLevel { column, map, .. } => {
+            CandidateRepr::EntityLevel {
+                column,
+                map,
+                cardinality,
+            } => {
                 let cont = &self.base[column];
                 let weights = cand.entity_weights.as_deref();
-                stats_from_cells(cont, map, weights)
+                stats_from_cells(cont, map, *cardinality, weights)
             }
             CandidateRepr::RowLevel(codes) => {
                 let joint = JointCounts::count(&[&set.o, &set.t, codes], Some(&set.mask), None);
+                let h = joint.entropies_and_cells(&[
+                    &[0],
+                    &[1],
+                    &[2],
+                    &[0, 1],
+                    &[0, 2],
+                    &[1, 2],
+                    &[0, 1, 2],
+                ]);
                 CandStats {
-                    h_o: joint.marginal_entropy_and_cells(&[0]),
-                    h_t: joint.marginal_entropy_and_cells(&[1]),
-                    h_e: joint.marginal_entropy_and_cells(&[2]),
-                    h_ot: joint.marginal_entropy_and_cells(&[0, 1]),
-                    h_oe: joint.marginal_entropy_and_cells(&[0, 2]),
-                    h_te: joint.marginal_entropy_and_cells(&[1, 2]),
-                    h_ote: joint.entropy_and_cells(),
+                    h_o: h[0],
+                    h_t: h[1],
+                    h_e: h[2],
+                    h_ot: h[3],
+                    h_oe: h[4],
+                    h_te: h[5],
+                    h_ote: h[6],
                     support: joint.total,
                     present_entities: usize::MAX,
                 }
@@ -1056,7 +1074,11 @@ impl Engine {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
         let samples: Vec<f64> = match &cand.repr {
-            CandidateRepr::EntityLevel { column, map, .. } => {
+            CandidateRepr::EntityLevel {
+                column,
+                map,
+                cardinality,
+            } => {
                 let cont = &self.base[column];
                 // Entities that actually carry in-context rows.
                 let present: Vec<usize> = (0..map.len())
@@ -1072,6 +1094,10 @@ impl Engine {
                     .collect();
                 let mut map_buf = map.to_vec();
                 let mut w_buf = vec![1.0f64; map.len()];
+                // Only the four entropies `CandStats::cmi` reads, into one
+                // scratch reused by every draw.
+                let projections = Projection::cmi_terms(cont, *cardinality);
+                let mut scratch: [OrderedMarginal; 4] = Default::default();
                 let mut samples = Vec::with_capacity(16);
                 for _ in 0..16 {
                     vals.shuffle(&mut rng);
@@ -1079,8 +1105,10 @@ impl Engine {
                         map_buf[x] = v;
                         w_buf[x] = w;
                     }
-                    let s = stats_from_cells(cont, &map_buf, weights.map(|_| w_buf.as_slice()));
-                    samples.push(s.cmi());
+                    let w = weights.map(|_| w_buf.as_slice());
+                    let (support, [h_e, h_oe, h_te, h_ote]) =
+                        marginalize_cells(cont, &map_buf, w, &projections, &mut scratch);
+                    samples.push(cmi_mm(h_e, h_oe, h_te, h_ote, support));
                 }
                 samples
             }
@@ -1144,17 +1172,8 @@ impl Engine {
                     }
                     let joint =
                         JointCounts::count(&[&set.o, &set.t, &permuted], Some(&set.mask), None);
-                    let n = joint.total;
-                    let (h_xyz, k_xyz) = joint.entropy_and_cells();
-                    let (h_oe, k_oe) = joint.marginal_entropy_and_cells(&[0, 2]);
-                    let (h_te, k_te) = joint.marginal_entropy_and_cells(&[1, 2]);
-                    let (h_e, k_e) = joint.marginal_entropy_and_cells(&[2]);
-                    samples.push(
-                        (entropy_mm(h_oe, k_oe, n) + entropy_mm(h_te, k_te, n)
-                            - entropy_mm(h_xyz, k_xyz, n)
-                            - entropy_mm(h_e, k_e, n))
-                        .max(0.0),
-                    );
+                    let h = joint.entropies_and_cells(&[&[2], &[0, 2], &[1, 2], &[0, 1, 2]]);
+                    samples.push(cmi_mm(h[0], h[1], h[2], h[3], joint.total));
                 }
                 samples
             }
@@ -1195,47 +1214,43 @@ impl Engine {
                 CandidateRepr::EntityLevel {
                     column: col_a,
                     map: map_a,
-                    ..
+                    cardinality: card_a,
                 },
                 CandidateRepr::EntityLevel {
                     column: col_b,
                     map: map_b,
-                    ..
+                    cardinality: card_b,
                 },
             ) => {
-                if col_a == col_b {
+                // The `(Eᵢ, Eⱼ)` joint keyed `eᵢ·|Eⱼ| + eⱼ`.
+                let (card_a, card_b) = ((*card_a).max(1) as u64, (*card_b).max(1) as u64);
+                let mut joint = OrderedMarginal::new();
+                let mut total = 0.0;
+                let mut add = |joint: &mut OrderedMarginal, ea: u32, eb: u32, w: f64| {
+                    if ea != MISSING_CODE && eb != MISSING_CODE {
+                        joint.add(ea as u64 * card_b + eb as u64, w);
+                        total += w;
+                    }
+                };
+                let contributions = if col_a == col_b {
                     // Both are functions of the same entity code.
                     let cont = &self.base[col_a];
-                    let mut joint: BTreeMap<u64, f64> = BTreeMap::new();
-                    let mut total = 0.0;
+                    joint.reset(card_a * card_b, cont.x_marginal.len());
                     for (x, &w) in cont.x_marginal.iter().enumerate() {
-                        if w <= 0.0 {
-                            continue;
+                        if w > 0.0 {
+                            add(&mut joint, map_a[x], map_b[x], w);
                         }
-                        let ea = map_a[x];
-                        let eb = map_b[x];
-                        if ea == MISSING_CODE || eb == MISSING_CODE {
-                            continue;
-                        }
-                        *joint.entry(((ea as u64) << 32) | eb as u64).or_insert(0.0) += w;
-                        total += w;
                     }
-                    mi_from_joint(&joint, total)
+                    cont.x_marginal.len()
                 } else {
                     let pairs = self.column_pair_counts(set, col_a, col_b);
-                    let mut joint: BTreeMap<u64, f64> = BTreeMap::new();
-                    let mut total = 0.0;
+                    joint.reset(card_a * card_b, pairs.len());
                     for &(xa, xb, w) in pairs.iter() {
-                        let ea = map_a[xa as usize];
-                        let eb = map_b[xb as usize];
-                        if ea == MISSING_CODE || eb == MISSING_CODE {
-                            continue;
-                        }
-                        *joint.entry(((ea as u64) << 32) | eb as u64).or_insert(0.0) += w;
-                        total += w;
+                        add(&mut joint, map_a[xa as usize], map_b[xb as usize], w);
                     }
-                    mi_from_joint(&joint, total)
-                }
+                    pairs.len()
+                };
+                mi_from_joint(&mut joint, card_a, card_b, total, contributions)
             }
             _ => {
                 // At least one row-level candidate: direct row scan.
@@ -1259,19 +1274,18 @@ impl Engine {
         let canonical = canonical.unwrap_or_else(|| {
             let xa = &set.column_codes[ka];
             let xb = &set.column_codes[kb];
-            let mut map: BTreeMap<u64, f64> = BTreeMap::new();
+            let card_b = xb.cardinality.max(1) as u64;
+            let mut acc = OrderedMarginal::new();
+            acc.reset(xa.cardinality.max(1) as u64 * card_b, xa.len());
             for i in 0..xa.len() {
                 if !set.mask.get(i) || !xa.is_valid(i) || !xb.is_valid(i) {
                     continue;
                 }
-                let k = ((xa.codes[i] as u64) << 32) | xb.codes[i] as u64;
-                *map.entry(k).or_insert(0.0) += 1.0;
+                acc.add(xa.codes[i] as u64 * card_b + xb.codes[i] as u64, 1.0);
             }
-            let v: Arc<PairCells> = Arc::new(
-                map.into_iter()
-                    .map(|(k, w)| ((k >> 32) as u32, (k & 0xffff_ffff) as u32, w))
-                    .collect(),
-            );
+            let mut cells = Vec::new();
+            acc.drain(|k, w| cells.push(((k / card_b) as u32, (k % card_b) as u32, w)));
+            let v: Arc<PairCells> = Arc::new(cells);
             self.column_pairs.insert(ka, kb, v.clone());
             v
         });
@@ -1408,37 +1422,46 @@ impl Engine {
             return None;
         };
         let cont = &self.base[column];
-        // Joint (o, r) and (t, r) from the cells (ordered maps: the counts
-        // feed f64 entropy sums that must reproduce bit-for-bit).
-        let mut m_or: BTreeMap<u64, f64> = BTreeMap::new();
-        let mut m_tr: BTreeMap<u64, f64> = BTreeMap::new();
+        // Joint (o, r) and (t, r) from the cells, keyed `a·2 + r` (ordered
+        // accumulators: the counts feed f64 entropy sums that must
+        // reproduce bit-for-bit).
+        let n = cont.cells.len();
+        let (card_o, card_t) = (cont.card_o as u64, cont.card_t as u64);
+        let mut m_or = OrderedMarginal::new();
+        let mut m_tr = OrderedMarginal::new();
+        m_or.reset(card_o * 2, n);
+        m_tr.reset(card_t * 2, n);
         let mut missing = 0.0;
         for &(o, t, x, w) in &cont.cells {
             let r = (map[x as usize] != MISSING_CODE) as u64;
             if r == 0 {
                 missing += w;
             }
-            *m_or.entry(((o as u64) << 1) | r).or_insert(0.0) += w;
-            *m_tr.entry(((t as u64) << 1) | r).or_insert(0.0) += w;
+            m_or.add(o as u64 * 2 + r, w);
+            m_tr.add(t as u64 * 2 + r, w);
         }
         let total = cont.total;
         if total <= 0.0 {
             return Some((0.0, 0.0, 0.0));
         }
-        let mi = |m: &BTreeMap<u64, f64>| {
-            // I(A;R) = H(A)+H(R)-H(A,R)
-            let mut m_a: BTreeMap<u64, f64> = BTreeMap::new();
+        // I(A;R) = H(A)+H(R)-H(A,R)
+        let mi = |m_ar: &mut OrderedMarginal, card_a: u64| {
+            let mut m_a = OrderedMarginal::new();
+            m_a.reset(card_a, n);
             let mut m_r = [0.0f64; 2];
-            for (&k, &w) in m {
-                *m_a.entry(k >> 1).or_insert(0.0) += w;
+            let (h_ar, _) = m_ar.drain_entropy_with(total, |k, w| {
+                m_a.add(k >> 1, w);
                 m_r[(k & 1) as usize] += w;
-            }
-            let h_ar = entropy_from_counts(m.values().copied(), total);
-            let h_a = entropy_from_counts(m_a.values().copied(), total);
+            });
+            let (h_a, _) = m_a.drain_entropy(total);
             let h_r = entropy_from_counts(m_r.iter().copied(), total);
             (h_a + h_r - h_ar).max(0.0)
         };
-        Some((mi(&m_or), mi(&m_tr), missing / total))
+        Some((
+            mi(&mut m_or, card_o),
+            mi(&mut m_tr, card_t),
+            missing / total,
+        ))
     }
 
     /// Per-x total weights for an extraction column (used for entity-level
@@ -1448,19 +1471,85 @@ impl Engine {
     }
 }
 
-/// Builds [`CandStats`] for an entity-level candidate from the column's
-/// contingency cells, applying per-entity IPW weights when present.
-fn stats_from_cells(cont: &Contingency, map: &[u32], weights: Option<&[f64]>) -> CandStats {
-    let card_t = cont.card_t as u64;
-    // Ordered maps: the marginal counts feed f64 entropy sums whose low
-    // bits depend on summation order, and NEXUS reproduces bit-for-bit.
-    let mut m_o: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_t: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_e: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_ot: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut m_oe: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut m_te: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut m_ote: BTreeMap<u64, f64> = BTreeMap::new();
+/// `I(O;T|E)` from its four `(H, cells)` terms, Miller–Madow corrected
+/// over `support` (the formula of [`CandStats::cmi`]).
+fn cmi_mm(
+    h_e: (f64, usize),
+    h_oe: (f64, usize),
+    h_te: (f64, usize),
+    h_ote: (f64, usize),
+    support: f64,
+) -> f64 {
+    let mm = |h: (f64, usize)| entropy_mm(h.0, h.1, support);
+    (mm(h_oe) + mm(h_te) - mm(h_ote) - mm(h_e)).max(0.0)
+}
+
+/// One marginal of the `(O, T, E)` table an entity-level candidate
+/// induces: cell `(o, t, e)` lands on key `o·so + t·st + e·se`, a
+/// mixed-radix key over the kept variables with `O` most significant and
+/// `E` least, so keys ascend in `(o, t, e)` order.
+#[derive(Debug, Clone, Copy)]
+struct Projection {
+    so: u64,
+    st: u64,
+    se: u64,
+    space: u64,
+}
+
+impl Projection {
+    /// The seven [`CandStats`] projections in field order: `O`, `T`, `E`,
+    /// `OT`, `OE`, `TE`, `OTE`.
+    fn all(cont: &Contingency, card_e: u32) -> [Projection; 7] {
+        // Each cardinality fits u32, so only the three-way product can
+        // overflow u64.
+        let (o, t, e) = (
+            cont.card_o.max(1) as u64,
+            cont.card_t.max(1) as u64,
+            card_e.max(1) as u64,
+        );
+        let ote = o.checked_mul(t * e).expect("(O,T,E) key space exceeds u64");
+        let p = |so, st, se, space| Projection { so, st, se, space };
+        [
+            p(1, 0, 0, o),
+            p(0, 1, 0, t),
+            p(0, 0, 1, e),
+            p(t, 1, 0, o * t),
+            p(e, 0, 1, o * e),
+            p(0, e, 1, t * e),
+            p(t * e, e, 1, ote),
+        ]
+    }
+
+    /// The four terms [`CandStats::cmi`] reads: `E`, `OE`, `TE`, `OTE`.
+    fn cmi_terms(cont: &Contingency, card_e: u32) -> [Projection; 4] {
+        let [_, _, e, _, oe, te, ote] = Self::all(cont, card_e);
+        [e, oe, te, ote]
+    }
+
+    #[inline]
+    fn key(&self, o: u64, t: u64, e: u64) -> u64 {
+        o * self.so + t * self.st + e * self.se
+    }
+}
+
+/// Marginalizes an entity-level candidate's `(O, T, E)` table, read off
+/// its column's contingency cells (with per-entity IPW weights when
+/// present), onto each projection in one pass over the cells. Returns
+/// the support and each projection's `(H, cells)`.
+///
+/// Every marginal cell sums its contributions in cell order and drains in
+/// ascending key order, which is what the ordered maps this replaces
+/// did, so the entropies are bit-identical to theirs.
+fn marginalize_cells<const N: usize>(
+    cont: &Contingency,
+    map: &[u32],
+    weights: Option<&[f64]>,
+    projections: &[Projection; N],
+    scratch: &mut [OrderedMarginal; N],
+) -> (f64, [(f64, usize); N]) {
+    for (m, p) in scratch.iter_mut().zip(projections) {
+        m.reset(p.space, cont.cells.len());
+    }
     let mut total = 0.0;
     for &(o, t, x, c) in &cont.cells {
         let e = map[x as usize];
@@ -1472,71 +1561,80 @@ fn stats_from_cells(cont: &Contingency, map: &[u32], weights: Option<&[f64]>) ->
             continue;
         }
         total += w;
-        *m_o.entry(o).or_insert(0.0) += w;
-        *m_t.entry(t).or_insert(0.0) += w;
-        *m_e.entry(e).or_insert(0.0) += w;
-        *m_ot.entry(o as u64 * card_t + t as u64).or_insert(0.0) += w;
-        *m_oe.entry(((o as u64) << 32) | e as u64).or_insert(0.0) += w;
-        *m_te.entry(((t as u64) << 32) | e as u64).or_insert(0.0) += w;
-        *m_ote
-            .entry(((o as u64 * card_t + t as u64) << 32) | e as u64)
-            .or_insert(0.0) += w;
+        let (o, t, e) = (o as u64, t as u64, e as u64);
+        for (m, p) in scratch.iter_mut().zip(projections) {
+            m.add(p.key(o, t, e), w);
+        }
     }
+    (
+        total,
+        std::array::from_fn(|i| scratch[i].drain_entropy(total)),
+    )
+}
+
+/// Builds [`CandStats`] for an entity-level candidate from the column's
+/// contingency cells, applying per-entity IPW weights when present.
+fn stats_from_cells(
+    cont: &Contingency,
+    map: &[u32],
+    card_e: u32,
+    weights: Option<&[f64]>,
+) -> CandStats {
+    let mut scratch: [OrderedMarginal; 7] = Default::default();
+    let (support, [h_o, h_t, h_e, h_ot, h_oe, h_te, h_ote]) = marginalize_cells(
+        cont,
+        map,
+        weights,
+        &Projection::all(cont, card_e),
+        &mut scratch,
+    );
     let present_entities = (0..map.len())
         .filter(|&x| map[x] != MISSING_CODE && cont.x_marginal.get(x).is_some_and(|&w| w > 0.0))
         .count();
     CandStats {
-        h_o: (entropy_from_counts(m_o.values().copied(), total), m_o.len()),
-        h_t: (entropy_from_counts(m_t.values().copied(), total), m_t.len()),
-        h_e: (entropy_from_counts(m_e.values().copied(), total), m_e.len()),
-        h_ot: (
-            entropy_from_counts(m_ot.values().copied(), total),
-            m_ot.len(),
-        ),
-        h_oe: (
-            entropy_from_counts(m_oe.values().copied(), total),
-            m_oe.len(),
-        ),
-        h_te: (
-            entropy_from_counts(m_te.values().copied(), total),
-            m_te.len(),
-        ),
-        h_ote: (
-            entropy_from_counts(m_ote.values().copied(), total),
-            m_ote.len(),
-        ),
-        support: total,
+        h_o,
+        h_t,
+        h_e,
+        h_ot,
+        h_oe,
+        h_te,
+        h_ote,
+        support,
         present_entities,
     }
 }
 
-fn mi_from_joint(joint: &BTreeMap<u64, f64>, total: f64) -> f64 {
+/// `I(A;B)` (Miller–Madow corrected) from the `(A, B)` joint keyed
+/// `a·|B| + b`, which had `contributions` adds. The joint drains in
+/// ascending `(a, b)` order and feeds both marginals as it goes.
+fn mi_from_joint(
+    joint: &mut OrderedMarginal,
+    card_a: u64,
+    card_b: u64,
+    total: f64,
+    contributions: usize,
+) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
-    let mut m_a: BTreeMap<u32, f64> = BTreeMap::new();
-    let mut m_b: BTreeMap<u32, f64> = BTreeMap::new();
-    for (&k, &w) in joint {
-        *m_a.entry((k >> 32) as u32).or_insert(0.0) += w;
-        *m_b.entry((k & 0xffff_ffff) as u32).or_insert(0.0) += w;
-    }
-    let h_ab = entropy_mm(
-        entropy_from_counts(joint.values().copied(), total),
-        joint.len(),
-        total,
-    );
-    let h_a = entropy_mm(
-        entropy_from_counts(m_a.values().copied(), total),
-        m_a.len(),
-        total,
-    );
-    let h_b = entropy_mm(
-        entropy_from_counts(m_b.values().copied(), total),
-        m_b.len(),
-        total,
-    );
+    let mut m_a = OrderedMarginal::new();
+    let mut m_b = OrderedMarginal::new();
+    m_a.reset(card_a, contributions);
+    m_b.reset(card_b, contributions);
+    let (h, k) = joint.drain_entropy_with(total, |key, w| {
+        m_a.add(key / card_b, w);
+        m_b.add(key % card_b, w);
+    });
+    let h_ab = entropy_mm(h, k, total);
+    let (h, k) = m_a.drain_entropy(total);
+    let h_a = entropy_mm(h, k, total);
+    let (h, k) = m_b.drain_entropy(total);
+    let h_b = entropy_mm(h, k, total);
     (h_a + h_b - h_ab).max(0.0)
 }
+
+#[cfg(test)]
+mod marginal_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1578,7 +1676,7 @@ mod tests {
         (table, kg, vec!["Country".to_string()])
     }
 
-    fn setup() -> (CandidateSet, Engine) {
+    pub(super) fn setup() -> (CandidateSet, Engine) {
         let (table, kg, cols) = toy();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let set = build_candidates(&table, &kg, &cols, &q, &NexusOptions::default()).unwrap();

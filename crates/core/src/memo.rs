@@ -52,7 +52,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use nexus_info::kernel::counters;
 pub use nexus_info::MemoKind;
@@ -170,7 +170,7 @@ pub struct MemoStore {
 
 impl std::fmt::Debug for MemoStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.state.lock().expect("memo state");
+        let s = self.lock();
         f.debug_struct("MemoStore")
             .field("entries", &s.map.len())
             .field("resident_bytes", &s.resident_bytes)
@@ -219,7 +219,7 @@ impl<'a> BuildTicket<'a> {
     /// budget) and wakes every waiter. Consumes the ticket; the pin is
     /// released once the waiters have drained.
     pub fn publish(mut self, value: MemoValue, bytes: u64) {
-        let mut s = self.store.state.lock().expect("memo state");
+        let mut s = self.store.lock();
         s.clock += 1;
         let stamp = s.clock;
         s.resident_bytes += bytes;
@@ -250,7 +250,7 @@ impl Drop for BuildTicket<'_> {
         }
         // Abandoned build (panic or early return): clear the builder
         // flag and wake the waiters so one of them is elected builder.
-        let mut s = self.store.state.lock().expect("memo state");
+        let mut s = self.store.lock();
         release_flight(&mut s, &self.key, |rec| rec.builder_live = false);
         drop(s);
         self.store.cond.notify_all();
@@ -283,6 +283,17 @@ impl MemoStore {
         }
     }
 
+    /// The store state, recovered if poisoned. A panic while the lock is
+    /// held (a type mismatch in [`MemoStore::peek`]) poisons it, but no
+    /// critical section can panic halfway through an update: each leaves
+    /// the maps, in-flight records and byte count consistent at every
+    /// step. So later requests take the guard and carry on instead of
+    /// inheriting one request's panic, and an abandoned build still
+    /// elects a waiter.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The configured byte budget (`0` = unbounded).
     pub fn max_bytes(&self) -> u64 {
         self.max_bytes
@@ -290,18 +301,18 @@ impl MemoStore {
 
     /// Bytes currently accounted to published entries.
     pub fn resident_bytes(&self) -> u64 {
-        self.state.lock().expect("memo state").resident_bytes
+        self.lock().resident_bytes
     }
 
     /// Number of published entries.
     pub fn resident_entries(&self) -> usize {
-        self.state.lock().expect("memo state").map.len()
+        self.lock().map.len()
     }
 
     /// Claims `key`: a published value, a build ticket, or an order to
     /// wait on the in-flight builder. Never blocks.
     pub fn claim(&self, key: &MemoKey) -> Claim<'_> {
-        let mut s = self.state.lock().expect("memo state");
+        let mut s = self.lock();
         s.clock += 1;
         let stamp = s.clock;
         if let Some(entry) = s.map.get_mut(key) {
@@ -334,7 +345,7 @@ impl MemoStore {
     /// claim time). Returns the published value — or a build ticket when
     /// the original builder abandoned and this waiter takes over.
     pub fn wait(&self, key: &MemoKey) -> WaitOutcome<'_> {
-        let mut s = self.state.lock().expect("memo state");
+        let mut s = self.lock();
         loop {
             if s.map.contains_key(key) {
                 s.clock += 1;
@@ -347,12 +358,12 @@ impl MemoStore {
             }
             match s.inflight.get_mut(key) {
                 Some(rec) if rec.builder_live => {
-                    s = self.cond.wait(s).expect("memo state");
+                    s = self.cond.wait(s).unwrap_or_else(PoisonError::into_inner);
                 }
                 Some(rec) => {
                     // Builder abandoned: this waiter becomes the builder.
-                    rec.builder_live = true;
                     rec.waiters -= 1;
+                    rec.builder_live = true;
                     return WaitOutcome::Build(BuildTicket {
                         store: self,
                         key: key.clone(),
@@ -414,7 +425,7 @@ impl MemoStore {
     /// Non-counting lookup for diagnostics and tests: no LRU bump, no
     /// hit/miss counters.
     pub fn peek<T: Any + Send + Sync>(&self, key: &MemoKey) -> Option<Arc<T>> {
-        let s = self.state.lock().expect("memo state");
+        let s = self.lock();
         s.map
             .get(key)
             .map(|e| e.value.clone().downcast::<T>().expect("memo value type"))

@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use nexus_table::{complete_case_mask, Bitmap, Codes};
 
 use crate::kernel::{self, KernelMode, ScanWidth};
+use crate::marginal::{EntropyFold, OrderedMarginal};
 
 /// Key space above which we switch from dense vectors to hash maps.
 const DENSE_LIMIT: u128 = 1 << 21;
@@ -100,11 +101,6 @@ impl Accumulator {
                 Box::new(cells.into_iter())
             }
         }
-    }
-
-    /// Number of distinct keys with nonzero count.
-    pub fn n_cells(&self) -> usize {
-        self.iter().count()
     }
 }
 
@@ -480,12 +476,6 @@ impl JointCounts {
         // weighted paths, and the (smaller) number of coalesced runs on
         // unweighted vectorized scans.
         let dense = counts.is_dense();
-        if !dense && std::env::var_os("NEXUS_KERNEL_DEBUG").is_some() {
-            eprintln!(
-                "sparse build: space={space} rows_scanned={rows_scanned} rows={rows} nvars={}",
-                vars.len()
-            );
-        }
         let counters = kernel::counters();
         counters.record_build(
             rows_scanned,
@@ -510,13 +500,19 @@ impl JointCounts {
 
     /// Shannon entropy (bits) of the counted joint distribution.
     pub fn entropy(&self) -> f64 {
-        entropy_from_counts(self.counts.iter().map(|(_, c)| c), self.total)
+        self.entropy_and_cells().0
     }
 
     /// Plug-in entropy together with the number of occupied cells
     /// (for Miller–Madow bias correction).
     pub fn entropy_and_cells(&self) -> (f64, usize) {
-        (self.entropy(), self.counts.n_cells())
+        let mut fold = EntropyFold::default();
+        let mut cells = 0;
+        for (_, c) in self.counts.iter() {
+            fold.push(c);
+            cells += 1;
+        }
+        (fold.finish(self.total), cells)
     }
 
     /// Entropy (bits) of the marginal over the variable subset `keep`
@@ -526,38 +522,115 @@ impl JointCounts {
     }
 
     /// Marginal plug-in entropy together with its occupied-cell count.
-    ///
-    /// A `BTreeMap` keeps the marginal cells in key order so the entropy
-    /// sum is reproducible bit-for-bit (see [`Accumulator::iter`]).
     pub fn marginal_entropy_and_cells(&self, keep: &[usize]) -> (f64, usize) {
-        let mut marg: std::collections::BTreeMap<u128, f64> = std::collections::BTreeMap::new();
-        for (key, c) in self.counts.iter() {
-            marg.entry(self.project(key, keep))
-                .and_modify(|v| *v += c)
-                .or_insert(c);
-        }
-        (
-            entropy_from_counts(marg.values().copied(), self.total),
-            marg.len(),
-        )
+        self.entropies_and_cells(&[keep])[0]
     }
 
-    /// Projects a composite key onto the variable subset `keep`.
-    #[inline]
-    fn project(&self, mut key: u128, keep: &[usize]) -> u128 {
-        // Decode all digits, re-encode the kept ones.
-        let mut digits = [0u128; 16];
-        assert!(self.radices.len() <= 16, "too many joint variables");
-        for (d, &r) in self.radices.iter().enumerate() {
-            digits[d] = key % r;
-            key /= r;
+    /// `(plug-in entropy, occupied cells)` of the marginal over each
+    /// variable subset in `keeps`, from **one** ascending pass over the
+    /// occupied joint cells. A subset listing every variable in order is
+    /// the joint itself.
+    ///
+    /// Each marginal cell sums its joint cells in ascending joint-key
+    /// order and the marginal cells fold in ascending marginal-key order
+    /// (see [`OrderedMarginal`]), so the results are bit-identical to
+    /// accumulating each marginal in an ordered map.
+    pub fn entropies_and_cells(&self, keeps: &[&[usize]]) -> Vec<(f64, usize)> {
+        let nvars = self.radices.len();
+        let is_joint = |keep: &[usize]| keep.iter().copied().eq(0..nvars);
+        if keeps.iter().all(|k| is_joint(k)) {
+            return vec![self.entropy_and_cells(); keeps.len()];
         }
-        let mut out = 0u128;
-        for &k in keep.iter().rev() {
-            out = out * self.radices[k] + digits[k];
+        assert!(nvars <= 16, "too many joint variables");
+        if self.radices.iter().product::<u128>() > u64::MAX as u128 {
+            return keeps.iter().map(|k| self.wide_marginal(k)).collect();
         }
-        out
+        let radices: Vec<u64> = self.radices.iter().map(|&r| r as u64).collect();
+        let cells: Vec<(u64, f64)> = self.counts.iter().map(|(k, c)| (k as u64, c)).collect();
+        // `None` marks the joint itself.
+        let mut margs: Vec<Option<MarginalPass>> = keeps
+            .iter()
+            .map(|&keep| {
+                if is_joint(keep) {
+                    return None;
+                }
+                let mut space = 1u64;
+                let places = keep
+                    .iter()
+                    .map(|&k| {
+                        let place = (k, space);
+                        space *= radices[k];
+                        place
+                    })
+                    .collect();
+                let mut acc = OrderedMarginal::new();
+                acc.reset(space, cells.len());
+                Some(MarginalPass { places, acc })
+            })
+            .collect();
+        let mut joint = EntropyFold::default();
+        let mut digits = [0u64; 16];
+        for &(key, c) in &cells {
+            joint.push(c);
+            let mut rest = key;
+            for (d, &r) in digits.iter_mut().zip(&radices) {
+                *d = rest % r;
+                rest /= r;
+            }
+            for m in margs.iter_mut().flatten() {
+                m.acc
+                    .add(m.places.iter().map(|&(k, p)| digits[k] * p).sum(), c);
+            }
+        }
+        let joint = (joint.finish(self.total), cells.len());
+        margs
+            .iter_mut()
+            .map(|marg| match marg {
+                None => joint,
+                Some(m) => m.acc.drain_entropy(self.total),
+            })
+            .collect()
     }
+
+    /// One marginal of a joint whose key space exceeds `u64` (no shape in
+    /// NEXUS reaches this; kept so the estimator has no size limit):
+    /// `u128` digit decoding into a stably sorted list, summed per key in
+    /// visit order.
+    fn wide_marginal(&self, keep: &[usize]) -> (f64, usize) {
+        let mut pairs: Vec<(u128, f64)> = self
+            .counts
+            .iter()
+            .map(|(mut key, c)| {
+                let mut digits = [0u128; 16];
+                for (d, &r) in digits.iter_mut().zip(&self.radices) {
+                    *d = key % r;
+                    key /= r;
+                }
+                let marg = keep
+                    .iter()
+                    .rev()
+                    .fold(0u128, |m, &k| m * self.radices[k] + digits[k]);
+                (marg, c)
+            })
+            .collect();
+        pairs.sort_by_key(|&(k, _)| k);
+        let mut fold = EntropyFold::default();
+        let mut cells = 0;
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            fold.push(run.iter().fold(0.0, |s, &(_, c)| s + c));
+            cells += 1;
+        }
+        (fold.finish(self.total), cells)
+    }
+}
+
+/// One proper marginal being accumulated by
+/// [`JointCounts::entropies_and_cells`].
+struct MarginalPass {
+    /// `(variable, place value)` per kept variable; the first kept
+    /// variable is the fastest digit, as in the joint key.
+    places: Vec<(usize, u64)>,
+    acc: OrderedMarginal,
 }
 
 /// Miller–Madow bias-corrected entropy in bits:
@@ -579,13 +652,9 @@ pub fn entropy_from_counts(counts: impl Iterator<Item = f64>, total: f64) -> f64
     if total <= 0.0 {
         return 0.0;
     }
-    let mut acc = 0.0;
-    for c in counts {
-        if c > 0.0 {
-            acc += c * c.log2();
-        }
-    }
-    (total.log2() - acc / total).max(0.0)
+    let mut fold = EntropyFold::default();
+    counts.for_each(|c| fold.push(c));
+    fold.finish(total)
 }
 
 #[cfg(test)]

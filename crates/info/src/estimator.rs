@@ -61,16 +61,15 @@ impl<'a> InfoContext<'a> {
         vars.push(x);
         vars.extend_from_slice(given);
         let joint = JointCounts::count(&vars, self.mask, self.weights);
-        let z_idx: Vec<usize> = (1..vars.len()).collect();
-        (joint.entropy() - joint.marginal_entropy(&z_idx)).max(0.0)
+        let all: Vec<usize> = (0..vars.len()).collect();
+        let [(h_xz, _), (h_z, _)] = entropies(&joint, [&all, &all[1..]]);
+        (h_xz - h_z).max(0.0)
     }
 
     /// Mutual information `I(X;Y)` in bits, over rows valid in both.
     pub fn mutual_information(&self, x: &Codes, y: &Codes) -> f64 {
         let joint = JointCounts::count(&[x, y], self.mask, self.weights);
-        let h_xy = joint.entropy();
-        let h_x = joint.marginal_entropy(&[0]);
-        let h_y = joint.marginal_entropy(&[1]);
+        let [(h_xy, _), (h_x, _), (h_y, _)] = entropies(&joint, [&[0, 1], &[0], &[1]]);
         (h_x + h_y - h_xy).max(0.0)
     }
 
@@ -88,16 +87,7 @@ impl<'a> InfoContext<'a> {
         vars.push(y);
         vars.extend_from_slice(z);
         let joint = JointCounts::count(&vars, self.mask, self.weights);
-        let z_idx: Vec<usize> = (2..vars.len()).collect();
-        let mut xz_idx = vec![0usize];
-        xz_idx.extend_from_slice(&z_idx);
-        let mut yz_idx = vec![1usize];
-        yz_idx.extend_from_slice(&z_idx);
-
-        let h_xyz = joint.entropy();
-        let h_xz = joint.marginal_entropy(&xz_idx);
-        let h_yz = joint.marginal_entropy(&yz_idx);
-        let h_z = joint.marginal_entropy(&z_idx);
+        let [(h_xyz, _), (h_xz, _), (h_yz, _), (h_z, _)] = cmi_terms(&joint);
         (h_xz + h_yz - h_xyz - h_z).max(0.0)
     }
 
@@ -112,9 +102,7 @@ impl<'a> InfoContext<'a> {
     pub fn mutual_information_mm(&self, x: &Codes, y: &Codes) -> f64 {
         let joint = JointCounts::count(&[x, y], self.mask, self.weights);
         let n = joint.total;
-        let (h_xy, k_xy) = joint.entropy_and_cells();
-        let (h_x, k_x) = joint.marginal_entropy_and_cells(&[0]);
-        let (h_y, k_y) = joint.marginal_entropy_and_cells(&[1]);
+        let [(h_xy, k_xy), (h_x, k_x), (h_y, k_y)] = entropies(&joint, [&[0, 1], &[0], &[1]]);
         (entropy_mm(h_x, k_x, n) + entropy_mm(h_y, k_y, n) - entropy_mm(h_xy, k_xy, n)).max(0.0)
     }
 
@@ -130,21 +118,30 @@ impl<'a> InfoContext<'a> {
         vars.extend_from_slice(z);
         let joint = JointCounts::count(&vars, self.mask, self.weights);
         let n = joint.total;
-        let z_idx: Vec<usize> = (2..vars.len()).collect();
-        let mut xz_idx = vec![0usize];
-        xz_idx.extend_from_slice(&z_idx);
-        let mut yz_idx = vec![1usize];
-        yz_idx.extend_from_slice(&z_idx);
-
-        let (h_xyz, k_xyz) = joint.entropy_and_cells();
-        let (h_xz, k_xz) = joint.marginal_entropy_and_cells(&xz_idx);
-        let (h_yz, k_yz) = joint.marginal_entropy_and_cells(&yz_idx);
-        let (h_z, k_z) = joint.marginal_entropy_and_cells(&z_idx);
+        let [(h_xyz, k_xyz), (h_xz, k_xz), (h_yz, k_yz), (h_z, k_z)] = cmi_terms(&joint);
         (entropy_mm(h_xz, k_xz, n) + entropy_mm(h_yz, k_yz, n)
             - entropy_mm(h_xyz, k_xyz, n)
             - entropy_mm(h_z, k_z, n))
         .max(0.0)
     }
+}
+
+/// `(entropy, cells)` of each variable subset of `joint`, in one pass
+/// (see [`JointCounts::entropies_and_cells`]).
+fn entropies<const N: usize>(joint: &JointCounts, keeps: [&[usize]; N]) -> [(f64, usize); N] {
+    joint
+        .entropies_and_cells(&keeps)
+        .try_into()
+        .expect("one result per subset")
+}
+
+/// The four CMI terms of a `(X, Y, Z₁..Zₙ)` joint, in the order
+/// `(X,Y,Z)`, `(X,Z)`, `(Y,Z)`, `Z`.
+fn cmi_terms(joint: &JointCounts) -> [(f64, usize); 4] {
+    let n = joint.radices.len();
+    let all: Vec<usize> = (0..n).collect();
+    let xz: Vec<usize> = std::iter::once(0).chain(2..n).collect();
+    entropies(joint, [&all, &xz, &all[1..], &all[2..]])
 }
 
 /// Convenience: unmasked, unweighted `H(X)`.

@@ -32,9 +32,11 @@ pub mod estimator;
 pub mod fd;
 pub mod independence;
 pub mod kernel;
+pub mod marginal;
 
 pub use counter::{entropy_from_counts, entropy_mm, Accumulator, JointCounts};
 pub use estimator::{cmi, entropy, mutual_information, InfoContext};
 pub use fd::{approx_fd, logically_dependent, DEFAULT_FD_EPSILON};
 pub use independence::{ci_test, ci_test_default, CiTestOptions, CiTestResult};
 pub use kernel::{KernelCounters, KernelMode, KernelSnapshot, MemoKind, ScanWidth, MEMO_KINDS};
+pub use marginal::OrderedMarginal;

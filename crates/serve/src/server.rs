@@ -72,7 +72,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -214,6 +214,29 @@ struct DoneList {
     signal: Condvar,
 }
 
+impl DoneList {
+    fn finished(&self) -> std::sync::MutexGuard<'_, Vec<u64>> {
+        self.finished.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A handler's completion signal, sent when dropped — on return and
+/// during a panic's unwind alike — so a panicking handler is still
+/// reaped and still leaves the live-handler gauge.
+struct Finished {
+    id: u64,
+    done: Arc<DoneList>,
+    live: Gauge,
+}
+
+impl Drop for Finished {
+    fn drop(&mut self) {
+        self.live.sub(1);
+        self.done.finished().push(self.id);
+        self.done.signal.notify_all();
+    }
+}
+
 /// The accept loop's ledger of live handler threads. Finished handlers
 /// announce themselves on the [`DoneList`], so the loop joins them as it
 /// goes (no unbounded `Vec<JoinHandle>` growth) and [`Registry::drain`]
@@ -222,26 +245,36 @@ struct Registry {
     next_id: u64,
     handlers: HashMap<u64, JoinHandle<()>>,
     done: Arc<DoneList>,
+    /// Live handler threads (`serve.handlers.live`).
+    live: Gauge,
 }
 
 impl Registry {
-    fn new() -> Registry {
+    fn new(live: Gauge) -> Registry {
         Registry {
             next_id: 0,
             handlers: HashMap::new(),
             done: Arc::new(DoneList::default()),
+            live,
         }
     }
 
-    /// Spawns a handler thread that announces its completion.
-    fn spawn(&mut self, f: impl FnOnce() + Send + 'static) {
+    /// Spawns a handler thread that counts itself live until it
+    /// announces its completion, panic or not. Whatever `f` returns is
+    /// dropped after the announcement.
+    fn spawn<T: 'static>(&mut self, f: impl FnOnce() -> T + Send + 'static) {
         let id = self.next_id;
         self.next_id += 1;
-        let done = Arc::clone(&self.done);
+        self.live.add(1);
+        let finished = Finished {
+            id,
+            done: Arc::clone(&self.done),
+            live: self.live.clone(),
+        };
         let handle = std::thread::spawn(move || {
-            f();
-            done.finished.lock().expect("done list poisoned").push(id);
-            done.signal.notify_all();
+            let held = f();
+            drop(finished);
+            drop(held);
         });
         self.handlers.insert(id, handle);
     }
@@ -249,10 +282,7 @@ impl Registry {
     /// Joins every handler that has announced completion. Returns the
     /// number joined.
     fn reap(&mut self) -> usize {
-        let finished: Vec<u64> = {
-            let mut list = self.done.finished.lock().expect("done list poisoned");
-            std::mem::take(&mut *list)
-        };
+        let finished: Vec<u64> = std::mem::take(&mut *self.done.finished());
         let mut joined = 0;
         for id in finished {
             if let Some(handle) = self.handlers.remove(&id) {
@@ -275,15 +305,11 @@ impl Registry {
                 break;
             }
             {
-                let list = self.done.finished.lock().expect("done list poisoned");
+                let list = self.done.finished();
                 if list.is_empty() {
                     // Wait for the next completion announcement (or
                     // deadline).
-                    let _ = self
-                        .done
-                        .signal
-                        .wait_timeout(list, deadline - now)
-                        .expect("done list poisoned");
+                    let _ = self.done.signal.wait_timeout(list, deadline - now);
                 }
             }
             joined += self.reap();
@@ -967,7 +993,7 @@ impl Server {
     where
         S: DeadlineStream + Send + 'static,
     {
-        let mut registry = Registry::new();
+        let mut registry = Registry::new(self.inner.m.live_handlers.clone());
         let result = loop {
             // Join whatever finished since the last iteration, so the
             // ledger tracks live connections rather than growing forever.
@@ -980,11 +1006,9 @@ impl Server {
                 Some(Ok(stream)) => match self.inner.conns.try_acquire_owned() {
                     Some(slot) => {
                         let server = self.clone();
-                        self.inner.m.live_handlers.add(1);
                         registry.spawn(move || {
                             server.serve_connection(stream);
-                            server.inner.m.live_handlers.sub(1);
-                            drop(slot); // free the connection slot last
+                            slot // freed last, after the completion signal
                         });
                     }
                     None => self.reject_busy(stream),
@@ -1563,5 +1587,30 @@ pub fn explanation_to_wire(e: &Explanation) -> ExplanationWire {
         n_after_online: e.stats.n_after_online as u64,
         n_biased: e.stats.n_biased as u64,
         link_stats,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicking_handler_is_reaped_and_leaves_the_live_gauge() {
+        let live = MetricsRegistry::new().gauge("serve.handlers.live");
+        let mut registry = Registry::new(live.clone());
+        registry.spawn(|| panic!("handler fault"));
+        registry.spawn(|| ());
+        // Counter-gated, not sleep-gated: poll until both handlers are
+        // joined, with a generous bound so a regression fails instead of
+        // hanging.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut joined = 0;
+        while joined < 2 && Instant::now() < deadline {
+            joined += registry.reap();
+            std::thread::yield_now();
+        }
+        assert_eq!(joined, 2, "reap must join the panicked handler too");
+        assert!(registry.handlers.is_empty());
+        assert_eq!(live.get(), 0, "a panicked handler must leave the gauge");
     }
 }

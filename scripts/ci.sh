@@ -13,8 +13,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ALL_STEPS="fmt clippy build test bench server_smoke store_smoke abuse_smoke \
-pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
+ALL_STEPS="fmt clippy build test bench bench_refs server_smoke store_smoke \
+abuse_smoke pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
 TIMINGS="target/ci-step-timings.md"
 
 BIN=target/release/nexus-cli
@@ -187,6 +187,22 @@ step_bench() {
         fi
         echo "    ${id}: counters within bounds, outputs identical ($BENCH_OUT)"
     done
+}
+
+step_bench_refs() {
+    echo "==> bench references (every explanation bit vs nexbench/references.tsv)"
+    # The benchmark's own tests, then a fresh digest of every request of
+    # every benchmark workload (plain in-process runs, about 50 s), diffed
+    # against the checked-in reference file. Any changed explanation bit
+    # fails here, on every commit, not only when the benchmark is run.
+    cargo test --offline --manifest-path nexbench/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path nexbench/Cargo.toml -- \
+        --references > "$SMOKE_DIR/references.tsv"
+    if ! diff nexbench/references.tsv "$SMOKE_DIR/references.tsv"; then
+        echo "explanations differ from nexbench/references.tsv" >&2
+        exit 1
+    fi
+    echo "    $(grep -vc '^#' nexbench/references.tsv) reference digests bit-identical"
 }
 
 step_server_smoke() {

@@ -212,12 +212,16 @@ fn shutdown_drains_in_flight_requests_at_either_pool_width() {
         };
 
         // Shutdown from a second connection as soon as the server has
-        // accepted both — admission is observable via conns_accepted, so
-        // this is counter-gated, not sleep-gated.
+        // accepted both and the Explain is in flight — counter-gated, not
+        // sleep-gated. Admission shows in conns_accepted; the Explain
+        // counts its cache miss only after the shutdown check, so from
+        // then on it runs to completion. Gating on admission alone let a
+        // descheduled worker's Explain arrive after the shutdown and be
+        // refused.
         let mut controller = Client::connect_tcp(&addr).expect("connect");
         loop {
             let stats = controller.stats().expect("stats");
-            if stats.conns_accepted >= 2 {
+            if stats.conns_accepted >= 2 && stats.cache_misses >= 1 {
                 break;
             }
             std::thread::yield_now();
