@@ -1113,10 +1113,9 @@ impl Engine {
                 samples
             }
             CandidateRepr::RowLevel(codes) => {
-                let rows: Vec<usize> = (0..codes.len())
-                    .filter(|&i| set.mask.get(i) && codes.is_valid(i))
-                    .collect();
-                if rows.len() < 2 {
+                // In-context rows carrying a candidate value, ascending.
+                let rows = || (0..codes.len()).filter(|&i| set.mask.get(i) && codes.is_valid(i));
+                if rows().nth(1).is_none() {
                     return self.baseline_cmi;
                 }
                 // A candidate that is (almost) a function of the exposure —
@@ -1128,7 +1127,7 @@ impl Engine {
                 let t = &set.t;
                 let t_groups: Vec<u32> = if group_level {
                     let mut t_to_e: Vec<Option<u32>> = vec![None; t.cardinality as usize];
-                    for &i in &rows {
+                    for i in rows() {
                         if t.is_valid(i) {
                             t_to_e[t.codes[i] as usize] = Some(codes.codes[i]);
                         }
@@ -1142,16 +1141,35 @@ impl Engine {
                 let mut vals: Vec<u32> = if group_level {
                     // One representative value per exposure group.
                     let mut rep = vec![0u32; t.cardinality as usize];
-                    for &i in &rows {
+                    for i in rows() {
                         if t.is_valid(i) {
                             rep[t.codes[i] as usize] = codes.codes[i];
                         }
                     }
                     t_groups.iter().map(|&g| rep[g as usize]).collect()
                 } else {
-                    rows.iter().map(|&i| codes.codes[i]).collect()
+                    rows().map(|i| codes.codes[i]).collect()
                 };
-                let mut permuted = codes.clone();
+                // The rows each draw's joint counts are those also valid in
+                // O and T. Their O/T codes are gathered once into compact
+                // columns, and `counted` marks their slots among `rows` (the
+                // slots of `vals`). A draw rewrites only the compact
+                // candidate column: the same cells in the same row order
+                // as recounting a permuted full column under the mask.
+                let in_joint = |i: usize| set.o.is_valid(i) && t.is_valid(i);
+                let counted: Bitmap = rows().map(in_joint).collect();
+                let m = counted.count_ones();
+                let compact = |src: &Codes| {
+                    let mut codes = Vec::with_capacity(m);
+                    codes.extend(rows().filter(|&i| in_joint(i)).map(|i| src.codes[i]));
+                    Codes {
+                        codes,
+                        cardinality: src.cardinality,
+                        validity: None,
+                    }
+                };
+                let (o_rows, t_rows) = (compact(&set.o), compact(t));
+                let mut permuted = compact(codes);
                 let mut samples = Vec::with_capacity(6);
                 for _ in 0..6 {
                     vals.shuffle(&mut rng);
@@ -1160,18 +1178,15 @@ impl Engine {
                         for (&g, &v) in t_groups.iter().zip(&vals) {
                             assign[g as usize] = v;
                         }
-                        for &i in &rows {
-                            if t.is_valid(i) {
-                                permuted.codes[i] = assign[t.codes[i] as usize];
-                            }
+                        for (e, &g) in permuted.codes.iter_mut().zip(&t_rows.codes) {
+                            *e = assign[g as usize];
                         }
                     } else {
-                        for (&i, &v) in rows.iter().zip(&vals) {
-                            permuted.codes[i] = v;
+                        for (e, k) in permuted.codes.iter_mut().zip(counted.iter_ones()) {
+                            *e = vals[k];
                         }
                     }
-                    let joint =
-                        JointCounts::count(&[&set.o, &set.t, &permuted], Some(&set.mask), None);
+                    let joint = JointCounts::count(&[&o_rows, &t_rows, &permuted], None, None);
                     let h = joint.entropies_and_cells(&[&[2], &[0, 2], &[1, 2], &[0, 1, 2]]);
                     samples.push(cmi_mm(h[0], h[1], h[2], h[3], joint.total));
                 }

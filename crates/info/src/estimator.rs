@@ -79,16 +79,12 @@ impl<'a> InfoContext<'a> {
     /// common complete-case support. With empty `z` this reduces to
     /// `I(X;Y)`.
     pub fn cmi(&self, x: &Codes, y: &Codes, z: &[&Codes]) -> f64 {
-        if z.is_empty() {
-            return self.mutual_information(x, y);
-        }
         let mut vars: Vec<&Codes> = Vec::with_capacity(z.len() + 2);
         vars.push(x);
         vars.push(y);
         vars.extend_from_slice(z);
         let joint = JointCounts::count(&vars, self.mask, self.weights);
-        let [(h_xyz, _), (h_xz, _), (h_yz, _), (h_z, _)] = cmi_terms(&joint);
-        (h_xz + h_yz - h_xyz - h_z).max(0.0)
+        cmi_from_terms(cmi_terms(&joint).map(|(h, _)| h))
     }
 
     /// Number of complete-case rows shared by `vars` under the mask.
@@ -136,12 +132,24 @@ fn entropies<const N: usize>(joint: &JointCounts, keeps: [&[usize]; N]) -> [(f64
 }
 
 /// The four CMI terms of a `(X, Y, Z₁..Zₙ)` joint, in the order
-/// `(X,Y,Z)`, `(X,Z)`, `(Y,Z)`, `Z`.
-fn cmi_terms(joint: &JointCounts) -> [(f64, usize); 4] {
+/// `(X,Y,Z)`, `(X,Z)`, `(Y,Z)`, `Z`. With no `Z` they are `(X,Y)`, `X`,
+/// `Y` (the terms [`InfoContext::mutual_information`] folds) and an empty
+/// `Z`'s `(0.0, 1)`.
+pub(crate) fn cmi_terms(joint: &JointCounts) -> [(f64, usize); 4] {
     let n = joint.radices.len();
     let all: Vec<usize> = (0..n).collect();
     let xz: Vec<usize> = std::iter::once(0).chain(2..n).collect();
-    entropies(joint, [&all, &xz, &all[1..], &all[2..]])
+    let keeps: [&[usize]; 4] = [&all, &xz, &all[1..], &all[2..]];
+    let mut terms = joint.entropies_and_cells(&keeps[..if n > 2 { 4 } else { 3 }]);
+    terms.resize(4, (0.0, 1));
+    terms.try_into().expect("four terms")
+}
+
+/// `I(X;Y|Z) = H(X,Z) + H(Y,Z) − H(X,Y,Z) − H(Z)` from the entropies of
+/// [`cmi_terms`], clamped at zero. Subtracting an empty `Z`'s
+/// `+0.0` is exact, so with no `Z` this is `I(X;Y)` bit for bit.
+pub(crate) fn cmi_from_terms([h_xyz, h_xz, h_yz, h_z]: [f64; 4]) -> f64 {
+    (h_xz + h_yz - h_xyz - h_z).max(0.0)
 }
 
 /// Convenience: unmasked, unweighted `H(X)`.

@@ -256,6 +256,13 @@ impl KernelCounters {
         }
     }
 
+    /// Records `rows` row visits made outside a joint-count build: the
+    /// permutation test recounts its complete-case rows stratum by
+    /// stratum (batched once per test).
+    pub fn record_rows(&self, rows: u64) {
+        self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
+    }
+
     /// Records the scan width one build ran at (once per build). Narrow
     /// widths (8/16-bit) also bump `narrow_scans`.
     pub fn record_scan_width(&self, width: ScanWidth) {

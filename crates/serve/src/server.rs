@@ -70,6 +70,7 @@
 //! entirely).
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
@@ -339,6 +340,9 @@ struct ServeMetrics {
     cancels_honored: Counter,
     partials_streamed: Counter,
     workspace_reuse_hits: Counter,
+    /// v2 request workers that panicked and were answered with
+    /// [`error_code::INTERNAL`].
+    panics: Counter,
     /// Pool tasks scored across all cold explains (the per-request value
     /// travels in [`ServeStatsWire`]).
     pool_tasks: Counter,
@@ -361,6 +365,7 @@ impl ServeMetrics {
             cancels_honored: registry.counter("serve.rpc.cancels_honored"),
             partials_streamed: registry.counter("serve.rpc.partials_streamed"),
             workspace_reuse_hits: registry.counter("serve.rpc.workspace_reuse_hits"),
+            panics: registry.counter("serve.panics"),
             pool_tasks: registry.counter("serve.pool.tasks_scored"),
             queue_nanos: registry.histogram("serve.request.queue_nanos"),
             service_nanos: registry.histogram("serve.request.service_nanos"),
@@ -399,6 +404,10 @@ struct Inner {
     /// Counting-kernel counters at server construction; `stats()` reports
     /// movement since then, not since process start.
     kernel_baseline: nexus_info::KernelSnapshot,
+    /// Test hook: the next cold explain panics once it holds its pipeline
+    /// slot.
+    #[cfg(test)]
+    panic_next_explain: AtomicBool,
 }
 
 /// The resident explanation server. Cheap to clone (shared state behind an
@@ -431,6 +440,8 @@ impl Server {
                 memo: Arc::new(MemoStore::new(options.max_memo_bytes)),
                 shutdown: AtomicBool::new(false),
                 kernel_baseline: nexus_info::kernel::counters().snapshot(),
+                #[cfg(test)]
+                panic_next_explain: AtomicBool::new(false),
             }),
         }
     }
@@ -902,6 +913,10 @@ impl Server {
             self.inner.gate.acquire()
         };
         let queue_nanos = queued.elapsed().as_nanos() as u64;
+        #[cfg(test)]
+        if self.inner.panic_next_explain.swap(false, Ordering::SeqCst) {
+            panic!("injected pipeline fault");
+        }
 
         // Attach the sub-query memo, scoped to this dataset's content
         // fingerprint: concurrent cold requests coalesce onto one builder
@@ -1328,8 +1343,18 @@ impl Server {
                                 let worker_tx = tx.clone();
                                 let flag = Arc::clone(&abort);
                                 let handle = std::thread::spawn(move || {
-                                    let reply =
-                                        server.explain_streaming(&req, corr, &flag, &worker_tx);
+                                    // A panicking worker must still send
+                                    // a final reply: the client waits on
+                                    // this id, and the session can neither
+                                    // idle out nor drain while it stays in
+                                    // flight.
+                                    let reply = panic::catch_unwind(AssertUnwindSafe(|| {
+                                        server.explain_streaming(&req, corr, &flag, &worker_tx)
+                                    }))
+                                    .unwrap_or_else(|_| {
+                                        server.inner.m.panics.add(1);
+                                        error(error_code::INTERNAL, "request worker panicked")
+                                    });
                                     let _ = worker_tx.send((corr, reply));
                                 });
                                 inflight.insert(corr, InflightRequest { abort, seq, handle });
@@ -1593,6 +1618,97 @@ pub fn explanation_to_wire(e: &Explanation) -> ExplanationWire {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sends one v2 envelope.
+    fn send(stream: &mut crate::faults::PipeStream, corr: u64, frame: Frame) {
+        use std::io::Write;
+        stream
+            .write_all(&Envelope::v2(corr, frame).encode())
+            .expect("send v2 envelope");
+    }
+
+    /// The next final reply, skipping streamed progress frames.
+    fn next_final(stream: &mut crate::faults::PipeStream) -> (u64, Frame) {
+        loop {
+            let env = crate::wire::read_envelope(stream).expect("a reply before the read timeout");
+            if !matches!(env.frame, Frame::Progress(_) | Frame::Partial(_)) {
+                return (env.corr_id, env.frame);
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_v2_worker_answers_internal_and_frees_its_slot() {
+        use crate::wire::{CallOverrides, ExplainRequestWire, HelloWire};
+        use nexus_datagen::{load, queries_for, DatasetKind, Scale};
+
+        // One in-flight slot per connection and one pipeline slot: a
+        // slot the panicking request leaked would turn the next explain
+        // into a BUSY reply or a hang.
+        let d = load(DatasetKind::Covid, Scale::Small);
+        let server = Server::new(ServerOptions {
+            io_timeout: Duration::from_secs(30),
+            max_concurrent: 1,
+            max_inflight: 1,
+            ..ServerOptions::default()
+        });
+        server
+            .add_dataset("covid", d.table, d.kg, d.extraction_columns)
+            .expect("dataset loads");
+        let (mut client, server_end) = crate::faults::pipe();
+        // A reply that never comes fails the test instead of hanging it.
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("pipe timeout");
+        let session = {
+            let server = server.clone();
+            std::thread::spawn(move || server.serve_connection(server_end))
+        };
+        send(
+            &mut client,
+            0,
+            Frame::Hello(HelloWire {
+                max_version: MAX_VERSION,
+            }),
+        );
+        assert!(matches!(next_final(&mut client), (0, Frame::HelloAck(_))));
+
+        let explain = || {
+            Frame::Explain(ExplainRequestWire {
+                dataset: "covid".into(),
+                sql: queries_for(DatasetKind::Covid)[0].sql.into(),
+                overrides: CallOverrides::default(),
+            })
+        };
+        server
+            .inner
+            .panic_next_explain
+            .store(true, Ordering::SeqCst);
+        send(&mut client, 1, explain());
+        match next_final(&mut client) {
+            (1, Frame::Error(e)) => assert_eq!(e.code, error_code::INTERNAL),
+            other => panic!("expected an INTERNAL error for corr 1, got {other:?}"),
+        }
+        assert_eq!(server.inner.m.panics.get(), 1);
+
+        // Both slots are free again: the same request now explains.
+        send(&mut client, 2, explain());
+        match next_final(&mut client) {
+            (2, Frame::Explanation(_)) => {}
+            other => panic!("expected an explanation for corr 2, got {other:?}"),
+        }
+
+        // Nothing is left in flight, so the session drains and exits.
+        send(&mut client, 3, Frame::Shutdown);
+        assert!(matches!(next_final(&mut client), (3, Frame::ShutdownAck)));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !session.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(session.is_finished(), "the session must drain and exit");
+        session.join().expect("session thread exits cleanly");
+        assert_eq!(server.inner.m.panics.get(), 1);
+    }
 
     #[test]
     fn panicking_handler_is_reaped_and_leaves_the_live_gauge() {

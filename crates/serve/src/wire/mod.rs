@@ -541,6 +541,10 @@ pub mod error_code {
     /// A dataset store file could not be read, failed NXCOL validation,
     /// or its knowledge graph failed to load.
     pub const STORE: u16 = 10;
+    /// The request's worker failed internally (it panicked). The server
+    /// counts it in `serve.panics`, frees the request's in-flight slot
+    /// and keeps serving.
+    pub const INTERNAL: u16 = 11;
 }
 
 /// Cumulative server statistics ([`Frame::Stats`] reply).
