@@ -29,7 +29,7 @@ pub(crate) mod testkit {
     //! entity-level confounders (hdi strong, gini weaker), with a redundant
     //! copy of hdi and an irrelevant distractor.
 
-    use nexus_core::{build_candidates, CandidateSet, Engine, NexusOptions};
+    use nexus_core::{build_candidates, CandidateSet, Engine, NexusOptions, Parallelism};
     use nexus_kg::KnowledgeGraph;
     use nexus_query::parse;
     use nexus_table::{Column, Table};
@@ -60,7 +60,7 @@ pub(crate) mod testkit {
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let options = NexusOptions::default();
         let set = build_candidates(&table, &kg, &["Country".to_string()], &q, &options).unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         (set, engine, options)
     }
 }

@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
     let scenario = Scenario::new(DatasetKind::Covid, Scale::Small);
     let mut set = scenario.candidates();
     prune_offline(&mut set, &scenario.options);
-    let engine = Engine::new(&set);
+    let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
     prune_online(&mut set, &engine, &scenario.options);
 
     let mut group = c.benchmark_group("selection_Covid");
@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let engine = Engine::with_parallelism(&set, parallelism);
+                let engine = Engine::with_parallelism_memo(&set, parallelism, None);
                 mcimr(&set, &engine, &scenario.options)
             })
         });

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use nexus_bench::Scenario;
 use nexus_core::{
-    mcimr, prune_offline, prune_online, unexplained_subgroups, Engine, SubgroupOptions,
+    mcimr, prune_offline, prune_online, unexplained_subgroups, Engine, Parallelism, SubgroupOptions,
 };
 use nexus_datagen::{DatasetKind, Scale};
 
@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
     let scenario = Scenario::new(DatasetKind::So, Scale::Small);
     let mut set = scenario.candidates();
     prune_offline(&mut set, &scenario.options);
-    let engine = Engine::new(&set);
+    let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
     prune_online(&mut set, &engine, &scenario.options);
     let result = mcimr(&set, &engine, &scenario.options);
     let exclude: Vec<&str> = vec!["Country", "Salary"];

@@ -29,13 +29,14 @@
 //!   one add. Every increment is exactly `1.0` (weights apply later, at
 //!   entity level), so a run of length `r` adds the exact integer `r` —
 //!   bit-identical to `r` separate adds;
-//! * when the `X × T × O` key space fits the dense budget (unconditional
-//!   up to [`KERNEL_DENSE_LIMIT`], row-aware beyond it), counts land in a
-//!   [`RadixHistogram`]: the keyspace splits into 4096-cell partition
-//!   blocks allocated lazily on first touch, so zeroing *and* merging
-//!   scale with touched cells, not keyspace. Larger key spaces fall back
-//!   to a hashed accumulator, and key spaces beyond `u64` fall back to
-//!   the legacy row scan (which itself guards packing with `u128`);
+//! * when the `X × T × O` key space fits the dense budget
+//!   ([`nexus_info::dense_for_scan`], shared with every joint-count
+//!   build), counts land in a [`RadixHistogram`]: the keyspace splits
+//!   into 4096-cell partition blocks allocated lazily on first touch, so
+//!   zeroing *and* merging scale with touched cells, not keyspace. Larger
+//!   key spaces fall back to a hashed accumulator. Shapes whose fused
+//!   `|O|·|T|` exceeds `u32` are counted by [`JointCounts::count`] over
+//!   `(O, T, X)`, whose mixed-radix key is the same number;
 //! * large selections split into one contiguous word span per pool
 //!   thread. Spans scan into private sub-histograms and merge in
 //!   ascending span order, touched blocks only. Cell sums are exact
@@ -44,15 +45,16 @@
 //!
 //! All paths emit the same key `(x·|T| + t)·|O| + o` and drain cells in
 //! ascending key order, so every downstream f64 fold sees the same cell
-//! sequence and NEXUS's bit-identical-output promise holds across kernel
-//! paths and thread counts.
+//! sequence and NEXUS's bit-identical-output promise holds across shapes
+//! and thread counts.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use nexus_info::kernel::{self, KernelMode, ScanWidth};
+use nexus_info::kernel::{self, ScanWidth};
 use nexus_info::{
-    entropy_from_counts, entropy_mm, InfoContext, JointCounts, MemoKind, OrderedMarginal,
+    dense_for_scan, entropy_from_counts, entropy_mm, scan_packed, InfoContext, JointCounts,
+    MemoKind, OrderedMarginal,
 };
 use nexus_runtime::{Parallelism, ThreadPool};
 use nexus_table::{Bitmap, Codes};
@@ -60,20 +62,6 @@ use nexus_table::{Bitmap, Codes};
 use crate::candidate::{Candidate, CandidateRepr, CandidateSet, MISSING_CODE};
 use crate::memo::{set_fingerprint, Claim, MemoHandle, MemoKey, WaitOutcome};
 use crate::shard::{NameCache, PairCache};
-
-/// Key space up to which the counting kernel is unconditionally dense
-/// (matches `nexus-info`'s dense budget).
-const KERNEL_DENSE_LIMIT: u128 = 1 << 21;
-
-/// Row-aware dense upgrade factor: key spaces beyond the unconditional
-/// budget still go dense when within this multiple of the rows about to
-/// be scanned — lazily-allocated radix blocks mean the untouched tail of
-/// the keyspace costs nothing.
-const KERNEL_DENSE_ROWS_FACTOR: u128 = 32;
-
-/// Hard cap on one dense accumulator's key space (2^25 cells = 256 MiB if
-/// fully touched; actual allocation is per touched 4096-cell block).
-const KERNEL_DENSE_HARD_CAP: u128 = 1 << 25;
 
 /// Cap on `keyspace × span accumulators` for parallel dense builds,
 /// bounding the worst-case transient allocation across all spans.
@@ -225,9 +213,9 @@ enum ToCodes {
 /// `t·|O| + o` code column.
 ///
 /// Fusing as `t·|O| + o` (not `o·|T| + t`) makes the kernel key
-/// `x·|TO| + to` *numerically equal* to the legacy packed key
-/// `(x·|T| + t)·|O| + o`, so both paths sort cells identically and feed
-/// downstream f64 folds in the same order.
+/// `x·|TO| + to` *numerically equal* to the mixed-radix joint-count key
+/// `(x·|T| + t)·|O| + o`, so wide shapes counted by [`JointCounts`] sort
+/// cells identically and feed downstream f64 folds in the same order.
 struct FusedSelection {
     /// `mask ∧ valid(O) ∧ valid(T)`; per-column builds AND in `valid(X)`.
     base: Bitmap,
@@ -248,17 +236,16 @@ impl FusedSelection {
         (self.base.words().len() * 8 + to_bytes + 32) as u64
     }
 
-    /// Builds the fused selection, or `None` when the table shape rules
-    /// the vectorized kernel out (`|O|·|T|` beyond `u32`, or more rows
-    /// than `u32` row indices can address).
+    /// Builds the fused selection, or `None` when `|O|·|T|` exceeds `u32`
+    /// and the fused codes would not fit the kernel's code column.
     fn build(set: &CandidateSet) -> Option<FusedSelection> {
         let o = &set.o;
         let t = &set.t;
         let n = o.len();
         let card_o = o.cardinality.max(1) as u64;
         let card_t = t.cardinality.max(1) as u64;
-        let card_to = card_o.checked_mul(card_t)?;
-        if card_to > u32::MAX as u64 || n > u32::MAX as usize {
+        let card_to = card_o * card_t;
+        if card_to > u32::MAX as u64 {
             return None;
         }
         let mut maps: Vec<&Bitmap> = vec![&set.mask];
@@ -361,54 +348,6 @@ enum KernelAcc {
     Sparse(HashMap<u64, f64>),
 }
 
-/// Scans the selection words in `wr`: all-zero words are skipped, set
-/// bits decode with `trailing_zeros`, and consecutive equal keys coalesce
-/// into one `sink(key, run_length)` flush (run lengths are exact
-/// integers, so coalesced adds are bit-identical to per-row adds in the
-/// same ascending order). Returns `(adds, words_skipped)`.
-fn scan_words<T: NarrowCode>(
-    words: &[u64],
-    wr: std::ops::Range<usize>,
-    codes: &[u32],
-    to: &[T],
-    card_to: u64,
-    mut sink: impl FnMut(u64, f64),
-) -> (u64, u64) {
-    let mut adds = 0u64;
-    let mut skipped = 0u64;
-    let mut last = 0u64;
-    let mut run = 0.0f64;
-    for wi in wr {
-        let w = words[wi];
-        if w == 0 {
-            skipped += 1;
-            continue;
-        }
-        let base = wi * 64;
-        let mut bits = w;
-        while bits != 0 {
-            let i = base + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let key = codes[i] as u64 * card_to + to[i].as_u64();
-            if run > 0.0 && key == last {
-                run += 1.0;
-            } else {
-                if run > 0.0 {
-                    sink(last, run);
-                    adds += 1;
-                }
-                last = key;
-                run = 1.0;
-            }
-        }
-    }
-    if run > 0.0 {
-        sink(last, run);
-        adds += 1;
-    }
-    (adds, skipped)
-}
-
 impl Contingency {
     /// Approximate resident size, for memo byte accounting.
     fn approx_bytes(&self) -> u64 {
@@ -417,40 +356,28 @@ impl Contingency {
             + 64) as u64
     }
 
-    /// Builds the `(O, T, X)` contingency for one extraction column,
-    /// dispatching between the vectorized kernel and the legacy row scan.
+    /// Builds the `(O, T, X)` contingency for one extraction column: the
+    /// fused packed-mask kernel when the set has a [`FusedSelection`],
+    /// else a [`JointCounts`] count over `(O, T, X)` for the wide shapes.
+    ///
+    /// The kernel ANDs `valid(X)` into the shared complete-case bitmap and
+    /// scans the selection words directly (no index vector), accumulating
+    /// `counts[x·|TO| + to] += run` into a radix-partitioned
+    /// sub-histogram (hashed fallback beyond the dense budget), one word
+    /// span per pool thread for large selections.
     fn build(
         set: &CandidateSet,
         column: &str,
         fused: Option<&FusedSelection>,
         pool: Option<&ThreadPool>,
-        mode: KernelMode,
-    ) -> Contingency {
-        match (mode, fused) {
-            (KernelMode::Auto, Some(fused)) => Self::build_kernel(set, column, fused, pool),
-            _ => Self::build_rowscan(set, column),
-        }
-    }
-
-    /// The fused packed-mask kernel: ANDs `valid(X)` into the shared
-    /// complete-case bitmap and scans the selection words directly (no
-    /// index vector), accumulating `counts[x·|TO| + to] += run` into a
-    /// radix-partitioned sub-histogram (hashed fallback beyond the dense
-    /// budget), one word span per pool thread for large selections.
-    fn build_kernel(
-        set: &CandidateSet,
-        column: &str,
-        fused: &FusedSelection,
-        pool: Option<&ThreadPool>,
     ) -> Contingency {
         let x = &set.column_codes[column];
-        let card_x = x.cardinality.max(1) as u64;
+        let Some(fused) = fused else {
+            return Self::build_wide(set, x);
+        };
+        // |X|·|TO| < 2^64 because both factors fit u32.
         let card_to = fused.card_to;
-        let space = card_x as u128 * card_to as u128;
-        if space > u64::MAX as u128 {
-            // Keys would not fit the u64 kernel; the row scan packs u128.
-            return Self::build_rowscan(set, column);
-        }
+        let space = x.cardinality.max(1) as u128 * card_to as u128;
 
         // Per-column packed selection: base ∧ valid(X), scanned word at a
         // time — the selection never materializes as row indices.
@@ -496,24 +423,22 @@ impl Contingency {
         } else {
             1
         };
-        // Dense policy: unconditional under the small budget; row-aware
-        // upgrade beyond it, bounded per accumulator and across spans.
-        let dense = space <= KERNEL_DENSE_LIMIT
-            || (space <= KERNEL_DENSE_HARD_CAP
-                && space <= (selected as u128).saturating_mul(KERNEL_DENSE_ROWS_FACTOR)
-                && space.saturating_mul(n_spans as u128) <= KERNEL_DENSE_TOTAL_CAP);
+        // The shared dense policy, with every span's accumulator counted
+        // against the cross-span cap.
+        let dense = dense_for_scan(space, selected as u128)
+            && space.saturating_mul(n_spans as u128) <= KERNEL_DENSE_TOTAL_CAP;
 
         let codes = &x.codes;
+        let key_of = |i: usize| codes[i] as u64 * card_to + to[i].as_u64();
         let scan = |wr: std::ops::Range<usize>| -> (KernelAcc, u64, u64) {
             if dense {
                 let mut h = RadixHistogram::new(space as usize);
-                let (adds, skipped) = scan_words(words, wr, codes, to, card_to, |k, w| h.add(k, w));
+                let (adds, skipped) = scan_packed(words, wr, key_of, |k, w| h.add(k, w));
                 (KernelAcc::Dense(h), adds, skipped)
             } else {
                 let mut m: HashMap<u64, f64> = HashMap::new();
-                let (adds, skipped) = scan_words(words, wr, codes, to, card_to, |k, w| {
-                    *m.entry(k).or_insert(0.0) += w
-                });
+                let (adds, skipped) =
+                    scan_packed(words, wr, key_of, |k, w| *m.entry(k).or_insert(0.0) += w);
                 (KernelAcc::Sparse(m), adds, skipped)
             }
         };
@@ -594,98 +519,53 @@ impl Contingency {
         }
     }
 
-    /// The legacy per-row masked scan. Kept as the route for shapes the
-    /// kernel cannot index (and as the bench harness's comparison
-    /// baseline). Key packing is u64 with a checked u128 fallback —
-    /// three u32 cardinalities can overflow 64 bits.
-    fn build_rowscan(set: &CandidateSet, column: &str) -> Contingency {
-        let x = &set.column_codes[column];
-        let o = &set.o;
-        let t = &set.t;
-        let n = x.len();
-        let card_o = o.cardinality.max(1) as u64;
-        let card_t = t.cardinality.max(1) as u64;
-        let card_x = x.cardinality.max(1) as u64;
-        let space = card_x as u128 * card_t as u128 * card_o as u128;
-
-        if space <= u64::MAX as u128 {
-            let mut map: HashMap<u64, f64> = HashMap::new();
-            for i in 0..n {
-                if !set.mask.get(i) || !o.is_valid(i) || !t.is_valid(i) || !x.is_valid(i) {
-                    continue;
-                }
-                let key =
-                    (x.codes[i] as u64 * card_t + t.codes[i] as u64) * card_o + o.codes[i] as u64;
-                *map.entry(key).or_insert(0.0) += 1.0;
-            }
-            // Drain the map in key order: every downstream score folds
-            // these cells into f64 sums, and NEXUS promises bit-identical
-            // results across runs and thread counts — HashMap order is
-            // neither.
-            let mut keyed: Vec<(u64, f64)> = map.into_iter().collect();
-            keyed.sort_unstable_by_key(|&(k, _)| k);
-            let ops = keyed.iter().map(|&(_, w)| w).sum::<f64>() as u64;
-            kernel::counters().record_build(n as u64, ops, 0, false);
-            Self::from_sorted_cells(keyed.into_iter(), card_o, card_t, x.cardinality as usize)
-        } else {
-            // u128 keys: same semantics, for cardinality products beyond
-            // u64.
-            let mut map: HashMap<u128, f64> = HashMap::new();
-            for i in 0..n {
-                if !set.mask.get(i) || !o.is_valid(i) || !t.is_valid(i) || !x.is_valid(i) {
-                    continue;
-                }
-                let key = (x.codes[i] as u128 * card_t as u128 + t.codes[i] as u128)
-                    * card_o as u128
-                    + o.codes[i] as u128;
-                *map.entry(key).or_insert(0.0) += 1.0;
-            }
-            let mut keyed: Vec<(u128, f64)> = map.into_iter().collect();
-            keyed.sort_unstable_by_key(|&(k, _)| k);
-            let ops = keyed.iter().map(|&(_, w)| w).sum::<f64>() as u64;
-            kernel::counters().record_build(n as u64, ops, 0, false);
-            let mut cells = Vec::with_capacity(keyed.len());
-            let mut x_marginal = vec![0.0; x.cardinality as usize];
-            let mut total = 0.0;
-            for (key, w) in keyed {
-                let o_code = (key % card_o as u128) as u32;
-                let t_code = ((key / card_o as u128) % card_t as u128) as u32;
-                let x_code = (key / (card_o as u128 * card_t as u128)) as u32;
-                x_marginal[x_code as usize] += w;
-                total += w;
-                cells.push((o_code, t_code, x_code, w));
-            }
-            let n_entities_ctx = x_marginal.iter().filter(|&&w| w > 0.0).count();
-            Contingency {
-                cells,
-                x_marginal,
-                total,
-                n_entities_ctx,
-                card_o: card_o as u32,
-                card_t: card_t as u32,
-            }
-        }
+    /// The wide shapes (`|O|·|T|` beyond `u32`): a [`JointCounts`] count
+    /// over `(O, T, X)`. Its mixed-radix key is `(x·|T|+t)·|O|+o` with `o`
+    /// fastest, so its cells come out in the kernel's ascending order as
+    /// the same exact integers; `u128` keys are decoded only here.
+    fn build_wide(set: &CandidateSet, x: &Codes) -> Contingency {
+        let joint = JointCounts::count(&[&set.o, &set.t, x], Some(&set.mask), None);
+        let (card_o, card_t) = (joint.radices[0], joint.radices[1]);
+        let cells = joint.counts.iter().map(|(key, w)| {
+            let o = (key % card_o) as u32;
+            let t = ((key / card_o) % card_t) as u32;
+            (o, t, (key / (card_o * card_t)) as u32, w)
+        });
+        Self::from_cells(cells, card_o as u32, card_t as u32, x.cardinality as usize)
     }
 
     /// Decodes ascending `(key, weight)` cells (key = `(x·|T|+t)·|O|+o`)
-    /// into the cell vector, x-marginal, and totals. Shared by the kernel
-    /// and the u64 row scan so all paths produce cells identically.
+    /// of a kernel build into a contingency.
     fn from_sorted_cells(
         keyed: impl Iterator<Item = (u64, f64)>,
         card_o: u64,
         card_t: u64,
         card_x: usize,
     ) -> Contingency {
+        let cells = keyed.map(|(key, w)| {
+            let o = (key % card_o) as u32;
+            let t = ((key / card_o) % card_t) as u32;
+            (o, t, (key / (card_o * card_t)) as u32, w)
+        });
+        Self::from_cells(cells, card_o as u32, card_t as u32, card_x)
+    }
+
+    /// Assembles ascending `(o, t, x, weight)` cells into the cell vector,
+    /// x-marginal, and totals. Shared by every build so all shapes produce
+    /// cells identically.
+    fn from_cells(
+        decoded: impl Iterator<Item = (u32, u32, u32, f64)>,
+        card_o: u32,
+        card_t: u32,
+        card_x: usize,
+    ) -> Contingency {
         let mut cells = Vec::new();
         let mut x_marginal = vec![0.0; card_x];
         let mut total = 0.0;
-        for (key, w) in keyed {
-            let o_code = (key % card_o) as u32;
-            let t_code = ((key / card_o) % card_t) as u32;
-            let x_code = (key / (card_o * card_t)) as u32;
-            x_marginal[x_code as usize] += w;
-            total += w;
-            cells.push((o_code, t_code, x_code, w));
+        for cell in decoded {
+            x_marginal[cell.2 as usize] += cell.3;
+            total += cell.3;
+            cells.push(cell);
         }
         let n_entities_ctx = x_marginal.iter().filter(|&&w| w > 0.0).count();
         Contingency {
@@ -693,8 +573,8 @@ impl Contingency {
             x_marginal,
             total,
             n_entities_ctx,
-            card_o: card_o as u32,
-            card_t: card_t as u32,
+            card_o,
+            card_t,
         }
     }
 }
@@ -732,49 +612,19 @@ pub struct Engine {
 type PairCells = Vec<(u32, u32, f64)>;
 
 impl Engine {
-    /// Builds the engine serially: one row pass per extraction column plus
-    /// one for the baseline.
-    pub fn new(set: &CandidateSet) -> Engine {
-        Engine::with_parallelism(set, Parallelism::Serial)
-    }
-
-    /// Builds the engine with the given parallelism; the per-column
-    /// contingency passes run on the pool, and the pool drives every
+    /// Builds the engine: one counting pass per extraction column plus one
+    /// for the baseline. The per-column contingency passes run on a pool
+    /// of the given parallelism, and that pool drives every
     /// candidate-parallel stage scored through this engine.
     ///
-    /// Kernel dispatch follows the process-global
-    /// [`nexus_info::kernel::mode`]; tests and benches that must not rely
-    /// on global state use [`Engine::with_kernel`].
-    pub fn with_parallelism(set: &CandidateSet, parallelism: Parallelism) -> Engine {
-        Engine::with_kernel(set, parallelism, kernel::mode())
-    }
-
-    /// [`Engine::with_parallelism`] with a sub-query memo handle: per-set
-    /// selection vectors, per-column contingencies, and the baseline CMI
-    /// term are fetched from (and published to) the store instead of
-    /// rebuilt. Results are byte-identical to the memo-less path; warm
-    /// builds simply skip the per-column counting pool tasks.
+    /// With a sub-query memo handle, per-set selection vectors,
+    /// per-column contingencies, and the baseline CMI term are fetched
+    /// from (and published to) the store instead of rebuilt. Results are
+    /// byte-identical to the memo-less path; warm builds simply skip the
+    /// per-column counting pool tasks.
     pub fn with_parallelism_memo(
         set: &CandidateSet,
         parallelism: Parallelism,
-        memo: Option<&MemoHandle>,
-    ) -> Engine {
-        Engine::with_kernel_memo(set, parallelism, kernel::mode(), memo)
-    }
-
-    /// [`Engine::with_parallelism`] with an explicit [`KernelMode`] for
-    /// the contingency builds. Results are bit-identical across modes;
-    /// only the counting strategy (and its counters) differ.
-    pub fn with_kernel(set: &CandidateSet, parallelism: Parallelism, mode: KernelMode) -> Engine {
-        Engine::with_kernel_memo(set, parallelism, mode, None)
-    }
-
-    /// [`Engine::with_kernel`] with an optional memo handle (see
-    /// [`Engine::with_parallelism_memo`]).
-    pub fn with_kernel_memo(
-        set: &CandidateSet,
-        parallelism: Parallelism,
-        mode: KernelMode,
         memo: Option<&MemoHandle>,
     ) -> Engine {
         let pool = ThreadPool::new(parallelism);
@@ -785,13 +635,10 @@ impl Engine {
         let scope = memo.map(|h| (h, set_fingerprint(&set.mask, &set.o, &set.t)));
 
         // The fused complete-case selection is a pure function of the set,
-        // so it memoizes under the Selection kind. Legacy mode never fuses
-        // and never touches the store, so Auto-mode entries cannot leak
-        // into a Legacy build.
-        let fused: Arc<Option<FusedSelection>> = match (mode, &scope) {
-            (KernelMode::Legacy, _) => Arc::new(None),
-            (KernelMode::Auto, None) => Arc::new(FusedSelection::build(set)),
-            (KernelMode::Auto, Some((h, set_fp))) => {
+        // so it memoizes under the Selection kind.
+        let fused: Arc<Option<FusedSelection>> = match &scope {
+            None => Arc::new(FusedSelection::build(set)),
+            Some((h, set_fp)) => {
                 let key = MemoKey::new(MemoKind::Selection, h.dataset_fp, *set_fp, 0, "fused");
                 h.store.get_or_build(&key, || {
                     let f = FusedSelection::build(set);
@@ -815,18 +662,12 @@ impl Engine {
                     columns
                         .iter()
                         .map(|column| {
-                            Arc::new(Contingency::build(
-                                set,
-                                column,
-                                fused_ref,
-                                Some(&pool),
-                                mode,
-                            ))
+                            Arc::new(Contingency::build(set, column, fused_ref, Some(&pool)))
                         })
                         .collect()
                 } else {
                     pool.map_slice(&columns, |_, column| {
-                        Arc::new(Contingency::build(set, column, fused_ref, None, mode))
+                        Arc::new(Contingency::build(set, column, fused_ref, None))
                     })
                 };
                 columns.into_iter().cloned().zip(contingencies).collect()
@@ -865,18 +706,12 @@ impl Engine {
                     build_cols
                         .iter()
                         .map(|column| {
-                            Arc::new(Contingency::build(
-                                set,
-                                column,
-                                fused_ref,
-                                Some(&pool),
-                                mode,
-                            ))
+                            Arc::new(Contingency::build(set, column, fused_ref, Some(&pool)))
                         })
                         .collect()
                 } else {
                     pool.map_slice(&build_cols, |_, column| {
-                        Arc::new(Contingency::build(set, column, fused_ref, None, mode))
+                        Arc::new(Contingency::build(set, column, fused_ref, None))
                     })
                 };
                 for ((column, ticket), cont) in builds.into_iter().zip(built) {
@@ -891,13 +726,8 @@ impl Engine {
                             .expect("memo value type mismatch"),
                         WaitOutcome::Build(ticket) => {
                             // The original builder abandoned; build here.
-                            let c = Arc::new(Contingency::build(
-                                set,
-                                column,
-                                fused_ref,
-                                Some(&pool),
-                                mode,
-                            ));
+                            let c =
+                                Arc::new(Contingency::build(set, column, fused_ref, Some(&pool)));
                             ticket.publish(c.clone(), c.approx_bytes());
                             c
                         }
@@ -1695,7 +1525,7 @@ mod tests {
         let (table, kg, cols) = toy();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let set = build_candidates(&table, &kg, &cols, &q, &NexusOptions::default()).unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         (set, engine)
     }
 
@@ -1882,7 +1712,7 @@ mod tests {
         let (table, kg, cols) = toy();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let set = build_candidates(&table, &kg, &cols, &q, &NexusOptions::default()).unwrap();
-        let plain = Engine::new(&set);
+        let plain = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
 
         let store = Arc::new(MemoStore::new(0));
         let handle = MemoHandle::new(store.clone(), table.fingerprint());
@@ -1920,6 +1750,131 @@ mod tests {
         assert!(d_warm.memo_hits[MemoKind::CmiTerm as usize] >= 1);
         // The warm engine shares the memoized tables by pointer.
         assert!(store.resident_entries() >= 3);
+    }
+
+    /// The contingency counting oracle: one ordered-map entry per
+    /// complete-case `(mask, O, T, X)` row in ascending row order, keyed
+    /// `(x, t, o)` — the kernel's cell order.
+    fn oracle_cells(set: &CandidateSet, x: &Codes) -> Vec<(u32, u32, u32, u64)> {
+        use std::collections::BTreeMap;
+        let (o, t) = (&set.o, &set.t);
+        let mut map: BTreeMap<(u32, u32, u32), f64> = BTreeMap::new();
+        for i in 0..x.len() {
+            if set.mask.get(i) && o.is_valid(i) && t.is_valid(i) && x.is_valid(i) {
+                let key = (x.codes[i], t.codes[i], o.codes[i]);
+                *map.entry(key).or_insert(0.0) += 1.0;
+            }
+        }
+        map.into_iter()
+            .map(|((x, t, o), w)| (o, t, x, w.to_bits()))
+            .collect()
+    }
+
+    /// A candidate-less set over random `(O, T, X)` codes below `span`,
+    /// with nulls and a WHERE mask (the kernel-equivalence fixture shape)
+    /// and the given cardinalities.
+    fn counting_set(n: usize, seed: u64, cards: [u32; 3], span: u32) -> CandidateSet {
+        let mut rng = nexus_runtime::SplitMix64::new(seed);
+        let mut codes = |card: u32, null_every: u64| Codes {
+            codes: (0..n)
+                .map(|_| rng.next_below(card.min(span) as u64) as u32)
+                .collect(),
+            cardinality: card,
+            validity: Some((0..n).map(|_| rng.next_below(null_every) != 0).collect()),
+        };
+        let (o, t, x) = (
+            codes(cards[0], 17),
+            codes(cards[1], 23),
+            codes(cards[2], 11),
+        );
+        let mask = (0..n).map(|_| rng.next_below(4) != 0).collect();
+        CandidateSet {
+            candidates: Vec::new(),
+            column_codes: HashMap::from([("X".to_string(), x)]),
+            o,
+            t,
+            mask,
+            link_stats: HashMap::new(),
+        }
+    }
+
+    /// Builds the `X` contingency the way the engine does, at every pool
+    /// width, and checks each bit for bit against the oracle.
+    fn assert_cells_match_oracle(set: &CandidateSet, what: &str) {
+        let x = &set.column_codes["X"];
+        let want = oracle_cells(set, x);
+        let fused = FusedSelection::build(set);
+        for threads in [1, 3, 8] {
+            let pool = ThreadPool::new(Parallelism::Fixed(threads));
+            let cont = Contingency::build(set, "X", fused.as_ref(), Some(&pool));
+            let got: Vec<_> = cont
+                .cells
+                .iter()
+                .map(|&(o, t, x, w)| (o, t, x, w.to_bits()))
+                .collect();
+            assert_eq!(got, want, "{what} @ {threads} thread(s)");
+            let total = want.iter().fold(0.0, |s, c| s + f64::from_bits(c.3));
+            assert_eq!(cont.total.to_bits(), total.to_bits(), "{what}: total");
+        }
+    }
+
+    #[test]
+    fn contingency_cells_match_counting_oracle() {
+        // Small and span-parallel (> 2^16 selected rows) selections.
+        assert_cells_match_oracle(&counting_set(3_000, 1, [6, 5, 40], u32::MAX), "3k rows");
+        assert_cells_match_oracle(&counting_set(120_000, 2, [6, 5, 40], u32::MAX), "120k rows");
+        // `|T|·|O|` on and one step past the u8 and u16 boundaries: the
+        // fused column at every width the kernel materializes.
+        for (card_o, card_t) in [
+            (5, 51),
+            (4, 64),
+            (4, 65),
+            (5, 13_107),
+            (16, 4_096),
+            (17, 4_096),
+        ] {
+            let set = counting_set(
+                2_500,
+                (card_o * card_t) as u64,
+                [card_o, card_t, 40],
+                u32::MAX,
+            );
+            assert_cells_match_oracle(&set, &format!("|TO| = {}", card_o * card_t));
+        }
+        // Long runs of equal keys (region-blocked rows), which the scan
+        // coalesces into one add each, within and across word spans.
+        let mut set = counting_set(120_000, 5, [6, 5, 40], u32::MAX);
+        let x = set.column_codes.get_mut("X").unwrap();
+        for (c, block) in [(&mut set.o, 700), (&mut set.t, 300), (x, 1_100)] {
+            let card = c.cardinality as usize;
+            c.codes = (0..120_000).map(|i| (i / block % card) as u32).collect();
+        }
+        assert_cells_match_oracle(&set, "blocked runs");
+        // Full selection (no mask, no nulls) and an empty context.
+        let mut set = counting_set(80_000, 3, [4, 64, 40], u32::MAX);
+        set.mask = Bitmap::with_value(80_000, true);
+        for c in [&mut set.o, &mut set.t] {
+            c.validity = None;
+        }
+        set.column_codes.get_mut("X").unwrap().validity = None;
+        assert_cells_match_oracle(&set, "full selection");
+        set.mask = Bitmap::with_value(80_000, false);
+        assert_cells_match_oracle(&set, "empty context");
+    }
+
+    #[test]
+    fn wide_key_shapes_match_counting_oracle() {
+        // `|O|·|T|` beyond u32 with the `(O, T, X)` key still inside u64,
+        // then a key space beyond u64: both count through `JointCounts`.
+        // Codes stay small; only the declared cardinalities are wide.
+        for (cards, what) in [
+            ([70_000, 70_000, 40], "|TO| > u32"),
+            ([1 << 31, 1 << 31, 40], "|XTO| > u64"),
+        ] {
+            let set = counting_set(5_000, 4, cards, 60);
+            assert!(FusedSelection::build(&set).is_none(), "{what}");
+            assert_cells_match_oracle(&set, what);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! ## Example
 //!
 //! ```
-//! use nexus_core::{ExplainRequest, Nexus, NexusOptions};
+//! use nexus_core::{ExplainRequest, Nexus, NexusOptions, RunControl};
 //! use nexus_kg::KnowledgeGraph;
 //! use nexus_query::parse;
 //! use nexus_table::{Column, Table};
@@ -54,7 +54,9 @@
 //!     .knowledge_graph(&kg)
 //!     .extraction_column("Country")
 //!     .query(&query);
-//! let explanation = Nexus::default().run(&request).unwrap();
+//! let (explanation, _) = Nexus::default()
+//!     .run_controlled(&request, RunControl::none())
+//!     .unwrap();
 //! assert!(explanation.names().contains(&"Country::hdi"));
 //! assert!(explanation.explained_fraction() > 0.9);
 //! # let _ = NexusOptions::default();
@@ -86,7 +88,7 @@ pub use mcimr::{mcimr, mcimr_controlled, IterationTrace, McimrResult};
 pub use memo::{
     codes_fingerprint, set_fingerprint, weights_fingerprint, MemoHandle, MemoKey, MemoStore,
 };
-pub use nexus_info::{KernelMode, KernelSnapshot, MemoKind};
+pub use nexus_info::{KernelSnapshot, MemoKind};
 pub use nexus_runtime::{Parallelism, PoolMetrics, ThreadPool};
 pub use options::{NexusOptions, NexusOptionsBuilder};
 pub use pipeline::{

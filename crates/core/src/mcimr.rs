@@ -243,6 +243,7 @@ mod tests {
     use crate::candidate::build_candidates;
     use nexus_kg::KnowledgeGraph;
     use nexus_query::parse;
+    use nexus_runtime::Parallelism;
     use nexus_table::{Column, Table};
 
     /// Salary = f(hdi latent, gini latent) per country plus small noise; the
@@ -280,7 +281,7 @@ mod tests {
         let (table, kg, cols) = toy();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let set = build_candidates(&table, &kg, &cols, &q, options).unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let r = mcimr(&set, &engine, options);
         (set, r)
     }
@@ -350,7 +351,7 @@ mod tests {
         let (table, kg, cols) = toy();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let set = build_candidates(&table, &kg, &cols, &q, &options).unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let events: Mutex<Vec<ProgressEvent>> = Mutex::new(Vec::new());
         let sink = |e: ProgressEvent| events.lock().unwrap().push(e);
         let ctl = RunControl {
@@ -385,7 +386,7 @@ mod tests {
         let (table, kg, cols) = toy();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let set = build_candidates(&table, &kg, &cols, &q, &options).unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let flag = AtomicBool::new(true);
         flag.store(true, Ordering::Release);
         let err = mcimr_controlled(&set, &engine, &options, RunControl::with_abort(&flag))
@@ -399,7 +400,7 @@ mod tests {
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let mut set = build_candidates(&table, &kg, &cols, &q, &NexusOptions::default()).unwrap();
         set.candidates.clear();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let r = mcimr(&set, &engine, &NexusOptions::default());
         assert!(r.selected.is_empty());
         assert_eq!(r.final_cmi, r.initial_cmi);

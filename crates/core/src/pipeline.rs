@@ -139,15 +139,14 @@ pub struct RunArtifacts {
 }
 
 /// A typed description of one explanation task, consumed by
-/// [`Nexus::run`].
+/// [`Nexus::run_controlled`].
 ///
-/// Replaces the positional `(table, kg, extraction_columns, query)`
-/// argument list of [`Nexus::explain`]: every input is named, the
-/// knowledge source can be a borrowed [`KnowledgeGraph`] *or* an owned one
-/// assembled from a data lake, and validation happens in one place.
+/// Every input is named and validation happens in one place. The
+/// knowledge source is one of a borrowed [`KnowledgeGraph`], an owned one
+/// assembled from a data lake, or precomputed [`ColumnExtraction`]s.
 ///
 /// ```
-/// use nexus_core::{ExplainRequest, Nexus};
+/// use nexus_core::{ExplainRequest, Nexus, RunControl};
 /// # use nexus_kg::KnowledgeGraph;
 /// # use nexus_query::parse;
 /// # use nexus_table::{Column, Table};
@@ -173,7 +172,9 @@ pub struct RunArtifacts {
 ///     .knowledge_graph(&kg)
 ///     .extraction_column("Country")
 ///     .query(&query);
-/// let explanation = Nexus::default().run(&request).unwrap();
+/// let (explanation, _) = Nexus::default()
+///     .run_controlled(&request, RunControl::none())
+///     .unwrap();
 /// assert!(explanation.names().contains(&"Country::hdi"));
 /// ```
 #[derive(Default)]
@@ -181,8 +182,17 @@ pub struct ExplainRequest<'a> {
     table: Option<&'a Table>,
     kg: Option<&'a KnowledgeGraph>,
     lake_kg: Option<KnowledgeGraph>,
+    extractions: Option<&'a [&'a ColumnExtraction]>,
     extraction_columns: Vec<String>,
     query: Option<&'a AggregateQuery>,
+}
+
+/// The knowledge source a request resolved to.
+enum Knowledge<'r> {
+    /// Link and mine a knowledge graph through these extraction columns.
+    Graph(&'r KnowledgeGraph, &'r [String]),
+    /// Reuse precomputed column extractions.
+    Extractions(&'r [&'r ColumnExtraction]),
 }
 
 impl<'a> ExplainRequest<'a> {
@@ -198,20 +208,40 @@ impl<'a> ExplainRequest<'a> {
     }
 
     /// The knowledge graph to mine candidate confounders from. Overrides a
-    /// previous [`lake`](Self::lake) source.
+    /// previous [`lake`](Self::lake) or [`extractions`](Self::extractions)
+    /// source.
     pub fn knowledge_graph(mut self, kg: &'a KnowledgeGraph) -> Self {
         self.kg = Some(kg);
         self.lake_kg = None;
+        self.extractions = None;
         self
     }
 
     /// A knowledge source assembled from a data lake (or any other owned
     /// [`KnowledgeGraph`], e.g. `nexus_lake::DataLake::to_knowledge_graph`).
-    /// Overrides a previous [`knowledge_graph`](Self::knowledge_graph)
-    /// source.
+    /// Overrides a previous [`knowledge_graph`](Self::knowledge_graph) or
+    /// [`extractions`](Self::extractions) source.
     pub fn lake(mut self, kg: KnowledgeGraph) -> Self {
         self.lake_kg = Some(kg);
         self.kg = None;
+        self.extractions = None;
+        self
+    }
+
+    /// Precomputed column extractions (see [`crate::extract_column`]) in
+    /// place of a knowledge graph: linking and KG attribute mining — the
+    /// dominant cost of candidate building — are amortized across
+    /// requests, while pruning, bias weighting, and MCIMR still run per
+    /// query. The extractions carry their own columns, so no
+    /// [`extraction_column`](Self::extraction_column) is needed. The run
+    /// emits an `"assemble"` stage first and is bit-identical to a run
+    /// over the graph the extractions came from. Overrides a previous
+    /// [`knowledge_graph`](Self::knowledge_graph) or [`lake`](Self::lake)
+    /// source.
+    pub fn extractions(mut self, extractions: &'a [&'a ColumnExtraction]) -> Self {
+        self.extractions = Some(extractions);
+        self.kg = None;
+        self.lake_kg = None;
         self
     }
 
@@ -239,23 +269,26 @@ impl<'a> ExplainRequest<'a> {
     }
 
     /// Checks completeness and resolves the knowledge source.
-    fn resolve(&self) -> Result<(&Table, &KnowledgeGraph, &[String], &AggregateQuery)> {
+    fn resolve(&self) -> Result<(&Table, Knowledge<'_>, &AggregateQuery)> {
         let table = self
             .table
             .ok_or_else(|| CoreError::InvalidRequest("no table set".into()))?;
-        let kg = self
-            .kg
-            .or(self.lake_kg.as_ref())
-            .ok_or_else(|| CoreError::InvalidRequest("no knowledge source set".into()))?;
+        let knowledge = match (self.kg.or(self.lake_kg.as_ref()), self.extractions) {
+            (_, Some(extractions)) => Knowledge::Extractions(extractions),
+            (Some(kg), None) => Knowledge::Graph(kg, &self.extraction_columns),
+            (None, None) => {
+                return Err(CoreError::InvalidRequest("no knowledge source set".into()))
+            }
+        };
         let query = self
             .query
             .ok_or_else(|| CoreError::InvalidRequest("no query set".into()))?;
-        if self.extraction_columns.is_empty() {
+        if matches!(knowledge, Knowledge::Graph(_, [])) {
             return Err(CoreError::InvalidRequest(
                 "no extraction columns set".into(),
             ));
         }
-        Ok((table, kg, &self.extraction_columns, query))
+        Ok((table, knowledge, query))
     }
 }
 
@@ -272,131 +305,41 @@ impl Nexus {
         Nexus { options }
     }
 
-    /// Runs the pipeline on a typed [`ExplainRequest`].
-    pub fn run(&self, request: &ExplainRequest<'_>) -> Result<Explanation> {
-        self.run_with_artifacts(request).map(|(e, _)| e)
-    }
-
-    /// Like [`Nexus::run`] but also returns the run artifacts.
-    pub fn run_with_artifacts(
-        &self,
-        request: &ExplainRequest<'_>,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        let (table, kg, columns, query) = request.resolve()?;
-        self.execute(table, kg, columns, query)
-    }
-
-    /// Like [`Nexus::run_with_artifacts`] with a [`RunControl`] attached:
-    /// abort checks, progress events, and (via
-    /// [`RunControl::with_memo`]) sub-query memoization.
+    /// Runs the pipeline on a typed [`ExplainRequest`] and returns the
+    /// explanation with its run artifacts.
+    ///
+    /// `ctl` carries abort checks, progress events, and (via
+    /// [`RunControl::with_memo`]) sub-query memoization; pass
+    /// [`RunControl::none()`] for a plain run. The abort flag is polled at
+    /// every stage boundary and once per MCIMR iteration; an aborted run
+    /// returns [`CoreError::Aborted`] and produces no explanation.
+    /// Results are bit-identical with or without a control.
     pub fn run_controlled(
         &self,
         request: &ExplainRequest<'_>,
         ctl: RunControl<'_>,
     ) -> Result<(Explanation, RunArtifacts)> {
-        let (table, kg, columns, query) = request.resolve()?;
+        let (table, knowledge, query) = request.resolve()?;
         let t0 = Instant::now();
         ctl.check()?;
-        let set = build_candidates(table, kg, columns, query, &self.options)?;
-        self.execute_set_controlled(set, t0.elapsed(), ctl)
-    }
-
-    /// Explains the correlation exposed by `query` over `table`, mining
-    /// candidate confounders from `kg` via `extraction_columns`.
-    ///
-    /// Positional predecessor of [`Nexus::run`]; prefer the
-    /// [`ExplainRequest`] form in new code.
-    pub fn explain(
-        &self,
-        table: &Table,
-        kg: &KnowledgeGraph,
-        extraction_columns: &[String],
-        query: &AggregateQuery,
-    ) -> Result<Explanation> {
-        self.explain_with_artifacts(table, kg, extraction_columns, query)
-            .map(|(e, _)| e)
-    }
-
-    /// Like [`Nexus::explain`] but also returns the run artifacts.
-    ///
-    /// Positional predecessor of [`Nexus::run_with_artifacts`]; prefer the
-    /// [`ExplainRequest`] form in new code.
-    pub fn explain_with_artifacts(
-        &self,
-        table: &Table,
-        kg: &KnowledgeGraph,
-        extraction_columns: &[String],
-        query: &AggregateQuery,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        self.execute(table, kg, extraction_columns, query)
-    }
-
-    /// Runs the query-dependent pipeline stages over precomputed column
-    /// extractions (see [`crate::candidate::extract_column`]).
-    ///
-    /// This is the resident-server entry point: linking and KG attribute
-    /// mining — the dominant cost of candidate building — are amortized
-    /// across requests by reusing [`ColumnExtraction`] artifacts, while
-    /// pruning, bias weighting, and MCIMR still run per query. The result
-    /// is bit-identical to [`Nexus::run`] on the same inputs.
-    pub fn run_with_extractions(
-        &self,
-        table: &Table,
-        extractions: &[&ColumnExtraction],
-        query: &AggregateQuery,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        self.run_with_extractions_controlled(table, extractions, query, RunControl::none())
-    }
-
-    /// [`Nexus::run_with_extractions`] with cooperative cancellation and
-    /// progress streaming (see [`RunControl`]).
-    ///
-    /// The abort flag is polled at every stage boundary and once per
-    /// MCIMR iteration; an aborted run returns
-    /// [`CoreError::Aborted`](crate::error::CoreError::Aborted) and
-    /// produces no explanation. A run with `RunControl::none()` is
-    /// bit-identical to the uncontrolled entry point.
-    pub fn run_with_extractions_controlled(
-        &self,
-        table: &Table,
-        extractions: &[&ColumnExtraction],
-        query: &AggregateQuery,
-        ctl: RunControl<'_>,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        let t0 = Instant::now();
-        ctl.check()?;
-        ctl.stage("assemble");
-        let set = assemble_candidates(table, extractions, query, &self.options)?;
-        self.execute_set_controlled(set, t0.elapsed(), ctl)
-    }
-
-    fn execute(
-        &self,
-        table: &Table,
-        kg: &KnowledgeGraph,
-        extraction_columns: &[String],
-        query: &AggregateQuery,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        let t0 = Instant::now();
-        let set = build_candidates(table, kg, extraction_columns, query, &self.options)?;
-        self.execute_set(set, t0.elapsed())
+        let set = match knowledge {
+            Knowledge::Graph(kg, columns) => {
+                build_candidates(table, kg, columns, query, &self.options)?
+            }
+            Knowledge::Extractions(extractions) => {
+                ctl.stage("assemble");
+                assemble_candidates(table, extractions, query, &self.options)?
+            }
+        };
+        self.execute_set(set, t0.elapsed(), ctl)
     }
 
     /// Pruning → bias weighting → MCIMR → responsibility over an assembled
-    /// candidate set. `t_build` is the (possibly amortized) build time
-    /// reported in the stats.
+    /// candidate set, with abort checks at every stage boundary and
+    /// [`ProgressEvent::Stage`](crate::control::ProgressEvent::Stage)
+    /// emissions as each stage begins. `t_build` is the (possibly
+    /// amortized) build time reported in the stats.
     fn execute_set(
-        &self,
-        set: CandidateSet,
-        t_build: Duration,
-    ) -> Result<(Explanation, RunArtifacts)> {
-        self.execute_set_controlled(set, t_build, RunControl::none())
-    }
-
-    /// [`Nexus::execute_set`] with abort checks at every stage boundary
-    /// and [`ProgressEvent::Stage`](crate::control::ProgressEvent::Stage)
-    /// emissions as each stage begins.
-    fn execute_set_controlled(
         &self,
         mut set: CandidateSet,
         t_build: Duration,
@@ -666,6 +609,22 @@ mod tests {
     use nexus_query::parse;
     use nexus_table::Column;
 
+    /// A plain run over a knowledge graph.
+    fn explain(
+        nexus: &Nexus,
+        table: &Table,
+        kg: &KnowledgeGraph,
+        cols: &[String],
+        q: &AggregateQuery,
+    ) -> (Explanation, RunArtifacts) {
+        let request = ExplainRequest::new()
+            .table(table)
+            .knowledge_graph(kg)
+            .extraction_columns(cols.iter().cloned())
+            .query(q);
+        nexus.run_controlled(&request, RunControl::none()).unwrap()
+    }
+
     /// Salary = f(hdi); hdi present everywhere; "rich_flag" present only for
     /// wealthy countries (MNAR) but informative where present; distractors.
     fn setup() -> (Table, KnowledgeGraph, Vec<String>) {
@@ -708,7 +667,7 @@ mod tests {
         let (table, kg, cols) = setup();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let nexus = Nexus::default();
-        let e = nexus.explain(&table, &kg, &cols, &q).unwrap();
+        let (e, _) = explain(&nexus, &table, &kg, &cols, &q);
         assert!(e.initial_cmi > 0.5);
         assert!(e.names().contains(&"Country::hdi"), "{:?}", e.names());
         assert!(e.explained_fraction() > 0.7, "{e:?}");
@@ -719,13 +678,64 @@ mod tests {
     }
 
     #[test]
+    fn extractions_source_matches_graph_and_overrides_it() {
+        use crate::candidate::extract_column;
+        use crate::control::ProgressEvent;
+        use std::sync::Mutex;
+
+        let (table, kg, cols) = setup();
+        let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
+        let nexus = Nexus::default();
+        let (direct, _) = explain(&nexus, &table, &kg, &cols, &q);
+
+        let extraction = extract_column(&table, &kg, "Country", &nexus.options).unwrap();
+        let refs = [&extraction];
+        // The extractions override the graph set before them.
+        let request = ExplainRequest::new()
+            .table(&table)
+            .knowledge_graph(&kg)
+            .extractions(&refs)
+            .query(&q);
+        let stages = Mutex::new(Vec::new());
+        let sink = |e: ProgressEvent| {
+            if let ProgressEvent::Stage { stage } = e {
+                stages.lock().unwrap().push(stage);
+            }
+        };
+        let ctl = RunControl {
+            progress: Some(&sink),
+            ..RunControl::none()
+        };
+        let (served, _) = nexus.run_controlled(&request, ctl).unwrap();
+        assert_eq!(served.names(), direct.names());
+        assert_eq!(
+            served.explained_cmi.to_bits(),
+            direct.explained_cmi.to_bits()
+        );
+        for (a, b) in served.attributes.iter().zip(&direct.attributes) {
+            assert_eq!(a.responsibility.to_bits(), b.responsibility.to_bits());
+        }
+        assert_eq!(stages.lock().unwrap().first(), Some(&"assemble"));
+
+        // …and a graph set after them overrides the extractions: with no
+        // extraction columns the request is incomplete again.
+        let request = ExplainRequest::new()
+            .table(&table)
+            .extractions(&refs)
+            .knowledge_graph(&kg)
+            .query(&q);
+        assert!(matches!(
+            nexus.run_controlled(&request, RunControl::none()),
+            Err(CoreError::InvalidRequest(_))
+        ));
+    }
+
+    #[test]
     fn pruning_counters_decrease() {
         let (table, kg, cols) = setup();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let nexus = Nexus::default();
-        let (e, artifacts) = nexus
-            .explain_with_artifacts(&table, &kg, &cols, &q)
-            .unwrap();
+        let (e, artifacts) = explain(&nexus, &table, &kg, &cols, &q);
         assert!(e.stats.n_after_offline <= e.stats.n_candidates_initial);
         assert!(e.stats.n_after_online <= e.stats.n_after_offline);
         // kind (constant) and uid (identifier) must have been dropped.
@@ -740,9 +750,7 @@ mod tests {
         let (table, kg, cols) = setup();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let nexus = Nexus::default();
-        let (_, artifacts) = nexus
-            .explain_with_artifacts(&table, &kg, &cols, &q)
-            .unwrap();
+        let (_, artifacts) = explain(&nexus, &table, &kg, &cols, &q);
         let set = &artifacts.set;
         let rich = set.index_of("Country::rich_flag");
         // rich_flag is missing exactly where salary is low: MNAR.
@@ -761,7 +769,7 @@ mod tests {
         let (table, kg, cols) = setup();
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let nexus = Nexus::new(NexusOptions::default().without_pruning());
-        let e = nexus.explain(&table, &kg, &cols, &q).unwrap();
+        let (e, _) = explain(&nexus, &table, &kg, &cols, &q);
         assert_eq!(e.stats.n_candidates_initial, e.stats.n_after_online);
         // Quality should not collapse without pruning (MESA- ≈ MESA).
         assert!(e.explained_fraction() > 0.7);
@@ -773,7 +781,7 @@ mod tests {
         let q = parse("SELECT Country, avg(Salary) FROM t WHERE Gender = 'm' GROUP BY Country")
             .unwrap();
         let nexus = Nexus::default();
-        let e = nexus.explain(&table, &kg, &cols, &q).unwrap();
+        let (e, _) = explain(&nexus, &table, &kg, &cols, &q);
         assert!(e.names().contains(&"Country::hdi"), "{:?}", e.names());
     }
 }

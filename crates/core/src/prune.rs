@@ -217,6 +217,7 @@ mod tests {
     use crate::candidate::build_candidates;
     use nexus_kg::KnowledgeGraph;
     use nexus_query::parse;
+    use nexus_runtime::Parallelism;
     use nexus_table::{Column, Table};
 
     /// Countries with: hdi (real confounder), code/wiki_id (entity-unique
@@ -305,7 +306,7 @@ mod tests {
     fn online_drops_logical_dependency_and_irrelevance() {
         let mut set = setup();
         prune_offline(&mut set, &NexusOptions::default());
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let report = prune_online(&mut set, &engine, &NexusOptions::default());
         let dropped: Vec<&str> = report.dropped.iter().map(|(n, _)| n.as_str()).collect();
         // CountryCode <-> Country is a bijection (the paper's example).

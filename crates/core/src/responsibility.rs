@@ -40,6 +40,7 @@ mod tests {
     use crate::options::NexusOptions;
     use nexus_kg::KnowledgeGraph;
     use nexus_query::parse;
+    use nexus_runtime::Parallelism;
     use nexus_table::{Column, Table};
 
     /// hdi dominates, gini contributes, dud contributes nothing.
@@ -75,7 +76,7 @@ mod tests {
             &NexusOptions::default(),
         )
         .unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         (set, engine)
     }
 

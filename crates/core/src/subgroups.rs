@@ -280,6 +280,7 @@ mod tests {
     use crate::mcimr::mcimr;
     use nexus_kg::KnowledgeGraph;
     use nexus_query::parse;
+    use nexus_runtime::Parallelism;
     use nexus_table::Column;
 
     /// Salary = hdi everywhere except in Europe, where it's driven by gini
@@ -323,7 +324,7 @@ mod tests {
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let options = NexusOptions::default();
         let set = build_candidates(&table, &kg, &["Country".to_string()], &q, &options).unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let hdi = set.index_of("Country::hdi").unwrap();
         // Force the explanation {hdi} as in the paper's Example 4.4.
         let _ = engine;
@@ -355,7 +356,7 @@ mod tests {
         let q = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
         let options = NexusOptions::default();
         let set = build_candidates(&table, &kg, &["Country".to_string()], &q, &options).unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let r = mcimr(&set, &engine, &options);
         // MCIMR itself should find {hdi, gini}-ish sets that cover Europe.
         let subgroups = unexplained_subgroups(

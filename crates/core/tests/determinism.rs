@@ -4,7 +4,7 @@
 //! datasets at `threads ∈ {1, 2, 8}` and compare names, CMIs, and
 //! responsibilities to full f64 precision.
 
-use nexus_core::{ExplainRequest, Explanation, Nexus, NexusOptions, Parallelism};
+use nexus_core::{ExplainRequest, Explanation, Nexus, NexusOptions, Parallelism, RunControl};
 use nexus_datagen::{load, queries_for, DatasetKind, Scale};
 
 fn run_at(kind: DatasetKind, query_idx: usize, parallelism: Parallelism) -> Explanation {
@@ -19,7 +19,10 @@ fn run_at(kind: DatasetKind, query_idx: usize, parallelism: Parallelism) -> Expl
         .parallelism(parallelism)
         .build()
         .expect("valid options");
-    Nexus::new(options).run(&request).expect("pipeline runs")
+    Nexus::new(options)
+        .run_controlled(&request, RunControl::none())
+        .expect("pipeline runs")
+        .0
 }
 
 /// Asserts bit-identical selection and scores (not wall-clock stats).

@@ -1,18 +1,14 @@
-//! Kernel equivalence: the dense/fused counting kernels are a pure
-//! performance substitution, so every estimator quantity — per-candidate
-//! [`CandStats`], calibrated CMIs, pairwise MIs, and whole explanations —
-//! must be **bit-identical** between the kernel and legacy row-scan
-//! paths, serial and chunked-parallel, at any thread count.
-//!
-//! These tests pin modes explicitly through [`Engine::with_kernel`]
-//! (never the process-global switch), so they stay race-free under
-//! parallel test execution.
+//! Kernel equivalence: the counting kernel's span-parallel builds are a
+//! pure performance substitution, so every estimator quantity —
+//! per-candidate [`CandStats`], calibrated CMIs, and pairwise MIs — must
+//! be **bit-identical** between serial and span-parallel builds, at any
+//! thread count. (The serial cells themselves are checked against a
+//! counting oracle in the engine's unit tests.)
 
 use std::collections::HashMap;
 
 use nexus_core::{
-    Candidate, CandidateRepr, CandidateSet, CandidateSource, Engine, KernelMode, Parallelism,
-    MISSING_CODE,
+    Candidate, CandidateRepr, CandidateSet, CandidateSource, Engine, Parallelism, MISSING_CODE,
 };
 use nexus_table::{Bitmap, Codes};
 use proptest::prelude::*;
@@ -152,8 +148,8 @@ fn bits(x: f64) -> u64 {
 }
 
 /// Everything an engine computes for a set, rendered to raw bits.
-fn engine_digest(set: &CandidateSet, parallelism: Parallelism, mode: KernelMode) -> Vec<u64> {
-    let engine = Engine::with_kernel(set, parallelism, mode);
+fn engine_digest(set: &CandidateSet, parallelism: Parallelism) -> Vec<u64> {
+    let engine = Engine::with_parallelism_memo(set, parallelism, None);
     let mut digest = vec![
         bits(engine.baseline_cmi()),
         engine.baseline_support() as u64,
@@ -177,22 +173,15 @@ fn engine_digest(set: &CandidateSet, parallelism: Parallelism, mode: KernelMode)
     digest
 }
 
-/// Every (parallelism, mode) combination must reproduce the serial legacy
-/// digest bit for bit.
+/// Every parallelism must reproduce the serial digest bit for bit.
 fn assert_all_paths_agree(set: &CandidateSet, what: &str) {
-    let reference = engine_digest(set, Parallelism::Serial, KernelMode::Legacy);
-    for (parallelism, p_name) in [
-        (Parallelism::Serial, "serial"),
-        (Parallelism::Fixed(2), "2 threads"),
-        (Parallelism::Fixed(8), "8 threads"),
-    ] {
-        for mode in [KernelMode::Auto, KernelMode::Legacy] {
-            let digest = engine_digest(set, parallelism, mode);
-            assert_eq!(
-                reference, digest,
-                "{what}: {mode:?} @ {p_name} diverges from legacy serial"
-            );
-        }
+    let reference = engine_digest(set, Parallelism::Serial);
+    for threads in [2, 3, 8] {
+        let digest = engine_digest(set, Parallelism::Fixed(threads));
+        assert_eq!(
+            reference, digest,
+            "{what}: {threads} threads diverge from serial"
+        );
     }
 }
 
@@ -215,8 +204,8 @@ fn weighted_candidate_paths_agree() {
     // weights matter) while staying path-invariant — guards against a
     // kernel that "agrees" by dropping weights everywhere.
     let set = synthetic_set(5_000, 0x5EED);
-    let engine = Engine::with_kernel(&set, Parallelism::Serial, KernelMode::Legacy);
-    let kernel = Engine::with_kernel(&set, Parallelism::Fixed(4), KernelMode::Auto);
+    let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
+    let kernel = Engine::with_parallelism_memo(&set, Parallelism::Fixed(4), None);
     let unweighted = engine.stats(&set, 0);
     for e in [&engine, &kernel] {
         let s = e.stats(&set, 1);
@@ -260,7 +249,7 @@ fn width_boundary_cardinalities_bit_identical() {
     // `|T|·|O|` sits exactly on — and one step past — the u8 and u16
     // boundaries, so the fused code column materializes at every narrow
     // width the kernel supports plus the u32 fallback, and each width
-    // must reproduce the legacy digest bit for bit.
+    // must reproduce the serial digest bit for bit.
     for (card_o, card_t, what) in [
         (5u32, 51u32, "|TO| = 255 (u8)"),
         (4, 64, "|TO| = 256 (u8 boundary)"),
@@ -305,7 +294,7 @@ fn narrow_and_merge_counters_move() {
     // under `KERNEL_PAR_ROWS`), so the strict comparison is race-free.
     let set = narrow_parallel_set();
     let before = nexus_info::kernel::counters().snapshot();
-    let _ = engine_digest(&set, Parallelism::Fixed(8), KernelMode::Auto);
+    let _ = engine_digest(&set, Parallelism::Fixed(8));
     let d = nexus_info::kernel::counters().snapshot().delta(&before);
     assert!(d.narrow_scans >= 1, "narrow scans not recorded: {d:?}");
     assert!(d.builds_w8 >= 1, "u8 fused builds not recorded: {d:?}");
@@ -319,16 +308,14 @@ fn narrow_and_merge_counters_move() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random codes, maps, masks, and sizes: the kernel paths reproduce
-    /// the legacy serial digest bit for bit.
+    /// Random codes, maps, masks, and sizes: parallel engines reproduce
+    /// the serial digest bit for bit.
     #[test]
     fn random_sets_bit_identical(seed in any::<u64>(), n in 64usize..1_500) {
         let set = synthetic_set(n, seed);
-        let reference = engine_digest(&set, Parallelism::Serial, KernelMode::Legacy);
-        let kernel_serial = engine_digest(&set, Parallelism::Serial, KernelMode::Auto);
-        let kernel_parallel = engine_digest(&set, Parallelism::Fixed(3), KernelMode::Auto);
-        prop_assert_eq!(&reference, &kernel_serial);
-        prop_assert_eq!(&reference, &kernel_parallel);
+        let reference = engine_digest(&set, Parallelism::Serial);
+        prop_assert_eq!(&reference, &engine_digest(&set, Parallelism::Fixed(3)));
+        prop_assert_eq!(&reference, &engine_digest(&set, Parallelism::Fixed(8)));
     }
 
     /// Random cardinalities straddling the u8/u16 fused-width boundary:
@@ -341,10 +328,8 @@ proptest! {
         card_t in 2u32..300,
     ) {
         let set = synthetic_set_with_cards(n, seed, card_o, card_t, 40);
-        let reference = engine_digest(&set, Parallelism::Serial, KernelMode::Legacy);
-        let kernel_serial = engine_digest(&set, Parallelism::Serial, KernelMode::Auto);
-        let kernel_parallel = engine_digest(&set, Parallelism::Fixed(3), KernelMode::Auto);
-        prop_assert_eq!(&reference, &kernel_serial);
-        prop_assert_eq!(&reference, &kernel_parallel);
+        let reference = engine_digest(&set, Parallelism::Serial);
+        prop_assert_eq!(&reference, &engine_digest(&set, Parallelism::Fixed(3)));
+        prop_assert_eq!(&reference, &engine_digest(&set, Parallelism::Fixed(8)));
     }
 }

@@ -1,7 +1,20 @@
 //! End-to-end pipeline tests on the synthetic paper datasets (small scale).
 
-use nexus_core::{Nexus, NexusOptions};
-use nexus_datagen::{load, queries_for, DatasetKind, Scale};
+use nexus_core::{ExplainRequest, Explanation, Nexus, NexusOptions, RunControl};
+use nexus_datagen::{load, queries_for, Dataset, DatasetKind, Scale};
+use nexus_query::AggregateQuery;
+
+/// A plain pipeline run over the dataset's knowledge graph.
+fn run(nexus: &Nexus, d: &Dataset, q: &AggregateQuery) -> nexus_core::Result<Explanation> {
+    let request = ExplainRequest::new()
+        .table(&d.table)
+        .knowledge_graph(&d.kg)
+        .extraction_columns(d.extraction_columns.iter().cloned())
+        .query(q);
+    nexus
+        .run_controlled(&request, RunControl::none())
+        .map(|(e, _)| e)
+}
 
 fn explain(
     kind: DatasetKind,
@@ -11,9 +24,7 @@ fn explain(
     let q = queries_for(kind)[query_idx];
     let parsed = q.parsed();
     let nexus = Nexus::default();
-    let e = nexus
-        .explain(&d.table, &d.kg, &d.extraction_columns, &parsed)
-        .expect("pipeline runs");
+    let e = run(&nexus, &d, &parsed).expect("pipeline runs");
     (e, q.ground_truth)
 }
 
@@ -91,9 +102,7 @@ fn flights_q5_airline_ops() {
 fn pruning_reduces_candidates_substantially() {
     let d = load(DatasetKind::So, Scale::Small);
     let q = queries_for(DatasetKind::So)[0].parsed();
-    let e = Nexus::default()
-        .explain(&d.table, &d.kg, &d.extraction_columns, &q)
-        .unwrap();
+    let e = run(&Nexus::default(), &d, &q).unwrap();
     // Table 1: ~461 extractable attributes for SO.
     assert!(
         e.stats.n_candidates_initial > 350,
@@ -113,12 +122,13 @@ fn pruning_reduces_candidates_substantially() {
 fn no_pruning_matches_quality() {
     let d = load(DatasetKind::So, Scale::Small);
     let q = queries_for(DatasetKind::So)[0].parsed();
-    let full = Nexus::default()
-        .explain(&d.table, &d.kg, &d.extraction_columns, &q)
-        .unwrap();
-    let unpruned = Nexus::new(NexusOptions::default().without_pruning())
-        .explain(&d.table, &d.kg, &d.extraction_columns, &q)
-        .unwrap();
+    let full = run(&Nexus::default(), &d, &q).unwrap();
+    let unpruned = run(
+        &Nexus::new(NexusOptions::default().without_pruning()),
+        &d,
+        &q,
+    )
+    .unwrap();
     // MESA- and MESA should explain comparably well (Section 5.1 finding).
     assert!(
         (full.explained_fraction() - unpruned.explained_fraction()).abs() < 0.3,

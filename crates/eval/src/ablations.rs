@@ -6,7 +6,7 @@
 
 use nexus_core::{
     apply_selection_bias_weights, build_candidates, prune_offline, prune_online, CandidateSet,
-    Engine, NexusOptions,
+    Engine, NexusOptions, Parallelism,
 };
 use nexus_datagen::{DatasetKind, Scale, BENCH_QUERIES};
 
@@ -139,7 +139,7 @@ pub fn ablations(cache: &mut DatasetCache, scale: Scale) -> String {
             )
             .expect("candidates build");
             prune_offline(&mut set, &options);
-            let engine = Engine::new(&set);
+            let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
             prune_online(&mut set, &engine, &options);
             if options.handle_selection_bias {
                 apply_selection_bias_weights(&mut set, &engine, &options);
@@ -210,7 +210,7 @@ mod tests {
         )
         .unwrap();
         prune_offline(&mut set, &options);
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         prune_online(&mut set, &engine, &options);
         for ablation in Ablation::ALL {
             let picks = greedy_select(&set, &engine, &options, ablation);

@@ -8,7 +8,8 @@ use nexus_baselines::{
     BruteForce, CajadeBaseline, ExplainMethod, HypDbBaseline, LinearRegressionBaseline, TopK,
 };
 use nexus_core::{
-    mcimr, responsibilities, CandidateSet, Engine, Nexus, NexusOptions, RunArtifacts,
+    mcimr, responsibilities, CandidateSet, Engine, ExplainRequest, Explanation, Nexus,
+    NexusOptions, RunArtifacts, RunControl,
 };
 use nexus_datagen::{load, BenchQuery, Dataset, DatasetKind, Scale};
 use nexus_query::AggregateQuery;
@@ -83,18 +84,26 @@ pub struct QueryContext {
     pub mesa_explanation: nexus_core::Explanation,
 }
 
+/// Runs the full pipeline on one query over a dataset's knowledge graph.
+pub fn explain(
+    nexus: &Nexus,
+    dataset: &Dataset,
+    query: &AggregateQuery,
+) -> nexus_core::Result<(Explanation, RunArtifacts)> {
+    let request = ExplainRequest::new()
+        .table(&dataset.table)
+        .knowledge_graph(&dataset.kg)
+        .extraction_columns(dataset.extraction_columns.iter().cloned())
+        .query(query);
+    nexus.run_controlled(&request, RunControl::none())
+}
+
 /// Prepares the shared artifacts for one query on a dataset.
 pub fn prepare(dataset: &Dataset, query: &AggregateQuery, options: &NexusOptions) -> QueryContext {
     let nexus = Nexus::new(options.clone());
     let t0 = Instant::now();
-    let (explanation, artifacts) = nexus
-        .explain_with_artifacts(
-            &dataset.table,
-            &dataset.kg,
-            &dataset.extraction_columns,
-            query,
-        )
-        .expect("pipeline runs on benchmark queries");
+    let (explanation, artifacts) =
+        explain(&nexus, dataset, query).expect("pipeline runs on benchmark queries");
     let elapsed = t0.elapsed();
     let names = explanation.names().iter().map(|s| s.to_string()).collect();
     QueryContext {
@@ -123,14 +132,7 @@ pub fn run_method(
             let opts = options.clone().without_pruning();
             let nexus = Nexus::new(opts);
             let t0 = Instant::now();
-            let e = nexus
-                .explain(
-                    &dataset.table,
-                    &dataset.kg,
-                    &dataset.extraction_columns,
-                    &ctx.query,
-                )
-                .expect("pipeline runs");
+            let (e, _) = explain(&nexus, dataset, &ctx.query).expect("pipeline runs");
             MethodRun {
                 names: e.names().iter().map(|s| s.to_string()).collect(),
                 explainability: e.explained_cmi,

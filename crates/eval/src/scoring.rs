@@ -150,7 +150,7 @@ fn redundancy_of(set: &CandidateSet, engine: &Engine, names: &[String], threshol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexus_core::{build_candidates, Engine, NexusOptions};
+    use nexus_core::{build_candidates, Engine, NexusOptions, Parallelism};
     use nexus_kg::KnowledgeGraph;
     use nexus_query::parse;
     use nexus_table::{Column, Table};
@@ -185,7 +185,7 @@ mod tests {
             &NexusOptions::default(),
         )
         .unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         (set, engine)
     }
 

@@ -13,12 +13,12 @@ use rand::SeedableRng;
 
 use nexus_core::{
     apply_selection_bias_weights, build_candidates, mcimr, prune_offline, prune_online,
-    CandidateRepr, CandidateSet, Engine, Nexus, NexusOptions, MISSING_CODE,
+    CandidateRepr, CandidateSet, Engine, Nexus, NexusOptions, Parallelism, MISSING_CODE,
 };
 use nexus_datagen::{queries_for, random_queries, DatasetKind, Scale};
 
 use crate::report::{render_series, TextTable};
-use crate::runner::{excluded_for, DatasetCache};
+use crate::runner::{excluded_for, explain, DatasetCache};
 
 /// Which pruning stages a timed run applies (the Figure 4 series).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,7 @@ pub fn timed_query(
         prune_offline(&mut set, options);
     }
     let t0 = Instant::now();
-    let engine = Engine::with_parallelism(&set, options.parallelism);
+    let engine = Engine::with_parallelism_memo(&set, options.parallelism, None);
     if variant == PruningVariant::Full {
         prune_online(&mut set, &engine, options);
     }
@@ -337,7 +337,7 @@ pub fn fig3(cache: &mut DatasetCache, scale: Scale) -> String {
                     prune_offline(&mut set, &opts);
                     set
                 };
-                let clean_engine = Engine::new(&clean);
+                let clean_engine = Engine::with_parallelism_memo(&clean, Parallelism::Serial, None);
                 for (slot, (injection, handling)) in [
                     (Injection::Random, Handling::Ipw),
                     (Injection::Biased, Handling::Ipw),
@@ -357,7 +357,7 @@ pub fn fig3(cache: &mut DatasetCache, scale: Scale) -> String {
                         10,
                         0xF13 + slot as u64,
                     );
-                    let engine = Engine::new(&injured);
+                    let engine = Engine::with_parallelism_memo(&injured, Parallelism::Serial, None);
                     let mut run_opts = opts.clone();
                     run_opts.handle_selection_bias = handling == Handling::Ipw;
                     prune_online(&mut injured, &engine, &run_opts);
@@ -410,12 +410,7 @@ pub fn random_query_usefulness(cache: &mut DatasetCache, scale: Scale) -> String
             let mut opts = options.clone();
             opts.excluded_columns = excluded_for(dataset, query);
             let nexus = Nexus::new(opts);
-            let Ok(e) = nexus.explain(
-                &dataset.table,
-                &dataset.kg,
-                &dataset.extraction_columns,
-                query,
-            ) else {
+            let Ok((e, _)) = explain(&nexus, dataset, query) else {
                 continue;
             };
             let lowered = e.explained_cmi < e.initial_cmi - 1e-9;
@@ -465,7 +460,7 @@ pub fn missing_stats(cache: &mut DatasetCache, scale: Scale) -> String {
             &opts,
         )
         .expect("candidates build");
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let mut missing_sum = 0.0;
         let mut n_extracted = 0usize;
         let mut n_biased = 0usize;
@@ -510,14 +505,7 @@ pub fn multihop(cache: &mut DatasetCache, scale: Scale) -> String {
             opts.hops = hops;
             let t0 = Instant::now();
             let nexus = Nexus::new(opts);
-            let e = nexus
-                .explain(
-                    &dataset.table,
-                    &dataset.kg,
-                    &dataset.extraction_columns,
-                    &query,
-                )
-                .expect("pipeline runs");
+            let (e, _) = explain(&nexus, dataset, &query).expect("pipeline runs");
             t.row(vec![
                 dataset.name.to_string(),
                 hops.to_string(),
@@ -548,14 +536,7 @@ pub fn pruning_stats(cache: &mut DatasetCache, scale: Scale) -> String {
         let mut opts = options.clone();
         opts.excluded_columns = excluded_for(dataset, &query);
         let nexus = Nexus::new(opts);
-        let e = nexus
-            .explain(
-                &dataset.table,
-                &dataset.kg,
-                &dataset.extraction_columns,
-                &query,
-            )
-            .expect("pipeline runs");
+        let (e, _) = explain(&nexus, dataset, &query).expect("pipeline runs");
         let s = &e.stats;
         let off = s.n_candidates_initial - s.n_after_offline;
         let on = s.n_after_offline - s.n_after_online;
@@ -675,7 +656,7 @@ mod tests {
             &NexusOptions::default(),
         )
         .unwrap();
-        let engine = Engine::new(&set);
+        let engine = Engine::with_parallelism_memo(&set, Parallelism::Serial, None);
         let count_missing = |s: &CandidateSet| -> usize {
             s.candidates
                 .iter()

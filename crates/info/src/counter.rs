@@ -6,33 +6,108 @@
 //! accumulator is a dense vector when the key space is small and a hash map
 //! otherwise.
 //!
-//! # Kernel v2 scan loop
+//! # The scan loop
 //!
-//! The vectorized path folds the WHERE mask and every validity bitmap into
-//! one packed selection bitmap and scans it **word at a time**: all-zero
-//! 64-bit words are skipped without touching a row (counted in
-//! `packed_words_skipped`), set bits inside surviving words decode with
-//! `trailing_zeros`. The key width is classified once per build from the
-//! checked key-space cardinality ([`kernel::ScanWidth`]); keys stay in one
-//! machine word up to 64-bit spaces with a `u128` fallback beyond.
+//! The WHERE mask and every validity bitmap fold into one packed
+//! selection bitmap, scanned **word at a time** by [`scan_packed`], the
+//! one packed scan every counting build uses (these joint counts and the
+//! engine's per-column contingencies alike): all-zero 64-bit words are
+//! skipped without touching a row (counted in `packed_words_skipped`),
+//! set bits inside surviving words decode with `trailing_zeros`. The key
+//! width is classified once per build from the checked key-space
+//! cardinality ([`kernel::ScanWidth`]); keys stay in one machine word up
+//! to 64-bit spaces with a `u128` fallback beyond.
 //!
 //! Unweighted scans *run-coalesce*: a run of `r` consecutive rows with the
 //! same composite key becomes one `counts[key] += r` write. Every
 //! unweighted increment is exactly `1.0`, so the coalesced add stores the
 //! same exact integer the per-row adds would have — bit-identical, while
-//! `dense_ops`/`hash_ops` now count accumulator writes, not rows. Weighted
+//! `dense_ops`/`hash_ops` count accumulator writes, not rows. Weighted
 //! scans keep strict per-row, ascending-order accumulation because f64
 //! weight sums are order-sensitive in their low bits.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use nexus_table::{complete_case_mask, Bitmap, Codes};
 
-use crate::kernel::{self, KernelMode, ScanWidth};
+use crate::kernel::{self, ScanWidth};
 use crate::marginal::{EntropyFold, OrderedMarginal};
 
-/// Key space above which we switch from dense vectors to hash maps.
+/// Key space up to which a counting build is unconditionally dense.
 const DENSE_LIMIT: u128 = 1 << 21;
+
+/// Row-aware dense upgrade factor: key spaces beyond [`DENSE_LIMIT`]
+/// still go dense when within this multiple of the rows about to be
+/// scanned — the zeroed table amortizes against the per-row hashing it
+/// replaces.
+const DENSE_ROWS_FACTOR: u128 = 32;
+
+/// Hard cap on one dense accumulator's key space (2^25 f64 cells =
+/// 256 MiB).
+const DENSE_HARD_CAP: u128 = 1 << 25;
+
+/// The dense-accumulator policy of every counting build: dense is always
+/// taken under the unconditional budget, and still pays for larger key
+/// spaces (up to a hard cap) when the space is within a small multiple of
+/// the `rows_to_scan` rows the build will visit.
+pub fn dense_for_scan(space: u128, rows_to_scan: u128) -> bool {
+    space <= DENSE_LIMIT
+        || (space <= DENSE_HARD_CAP && space <= rows_to_scan.saturating_mul(DENSE_ROWS_FACTOR))
+}
+
+/// Scans the set bits of the packed selection `words[range]` in ascending
+/// row order: all-zero words are skipped, set bits decode with
+/// `trailing_zeros`, and consecutive rows with equal `key_of(row)`
+/// coalesce into one `sink(key, run_length)` flush. Run lengths are exact
+/// integers, so coalesced adds are bit-identical to per-row adds in the
+/// same order. Returns `(adds, words_skipped)`.
+#[inline]
+pub fn scan_packed<K, F, S>(
+    words: &[u64],
+    range: Range<usize>,
+    key_of: F,
+    mut sink: S,
+) -> (u64, u64)
+where
+    K: Copy + PartialEq + Default,
+    F: Fn(usize) -> K,
+    S: FnMut(K, f64),
+{
+    let mut adds = 0u64;
+    let mut skipped = 0u64;
+    let mut last = K::default();
+    let mut run = 0.0f64;
+    for wi in range {
+        let w = words[wi];
+        if w == 0 {
+            skipped += 1;
+            continue;
+        }
+        let base = wi * 64;
+        let mut bits = w;
+        while bits != 0 {
+            let i = base + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let key = key_of(i);
+            if run > 0.0 && key == last {
+                run += 1.0;
+            } else {
+                if run > 0.0 {
+                    sink(last, run);
+                    adds += 1;
+                }
+                last = key;
+                run = 1.0;
+            }
+        }
+    }
+    if run > 0.0 {
+        sink(last, run);
+        adds += 1;
+    }
+    (adds, skipped)
+}
 
 /// A weighted count accumulator over composite keys.
 #[derive(Debug)]
@@ -44,32 +119,6 @@ pub enum Accumulator {
 }
 
 impl Accumulator {
-    fn with_capacity(space: u128) -> Accumulator {
-        if space <= DENSE_LIMIT {
-            Accumulator::Dense(vec![0.0; space as usize])
-        } else {
-            Accumulator::Sparse(HashMap::new())
-        }
-    }
-
-    /// Row-aware dense policy for the kernel path. Dense is always taken
-    /// under the unconditional budget, and still pays for larger key
-    /// spaces when the space is within a small multiple of the rows about
-    /// to be scanned — the zeroed table amortizes against the per-row
-    /// hashing it replaces. The hard cap bounds the transient allocation
-    /// (2^25 f64 cells = 256 MiB).
-    fn for_scan(space: u128, rows_to_scan: u128) -> Accumulator {
-        const DENSE_ROWS_FACTOR: u128 = 32;
-        const DENSE_HARD_CAP: u128 = 1 << 25;
-        let dense = space <= DENSE_LIMIT
-            || (space <= DENSE_HARD_CAP && space <= rows_to_scan.saturating_mul(DENSE_ROWS_FACTOR));
-        if dense {
-            Accumulator::Dense(vec![0.0; space as usize])
-        } else {
-            Accumulator::Sparse(HashMap::new())
-        }
-    }
-
     fn is_dense(&self) -> bool {
         matches!(self, Accumulator::Dense(_))
     }
@@ -112,128 +161,48 @@ struct ScanTally {
     words_skipped: u64,
 }
 
-/// Dispatches the vectorized scan across (packed mask | full range) ×
-/// (weighted | unweighted), keeping every hot loop monomorphic in the key
-/// type.
-#[allow(clippy::too_many_arguments)]
-fn scan_vectorized<K, F>(
+/// Dispatches the scan across (packed mask | full range) × (weighted |
+/// unweighted), keeping every hot loop monomorphic in the key type.
+/// Returns the total weight and the number of rows counted.
+fn scan<K, F>(
     selection: Option<&Bitmap>,
     n: usize,
     key_of: F,
     weights: Option<&[f64]>,
     counts: &mut Accumulator,
-    total: &mut f64,
-    rows: &mut usize,
     tally: &mut ScanTally,
-) where
-    K: Copy + PartialEq + Into<u128>,
+) -> (f64, usize)
+where
+    K: Copy + PartialEq + Default + Into<u128>,
     F: Fn(usize) -> K,
 {
-    match (selection, weights) {
-        (Some(sel), None) => scan_packed_unweighted(sel.words(), &key_of, counts, rows, tally),
-        (Some(sel), Some(w)) => {
-            scan_packed_weighted(sel.words(), &key_of, w, counts, total, rows, tally)
+    let rows = match (selection, weights) {
+        (Some(sel), None) => {
+            let words = sel.words();
+            let (adds, skipped) = scan_packed(words, 0..words.len(), &key_of, |k, run| {
+                counts.add(k.into(), run)
+            });
+            tally.adds += adds;
+            tally.words_skipped += skipped;
+            sel.count_ones()
         }
-        (None, None) => scan_range_unweighted(n, &key_of, counts, rows, tally),
-        (None, Some(w)) => scan_range_weighted(n, &key_of, w, counts, total, rows, tally),
-    }
-    if weights.is_none() {
-        // Unweighted increments are exactly 1.0, so the running total is
-        // the exact integer `rows` — identical to summing 1.0 per row.
-        *total = *rows as f64;
-    }
-}
-
-/// Packed-mask scan, unweighted: skips all-zero selection words, decodes
-/// set bits with `trailing_zeros`, and run-coalesces consecutive equal
-/// keys into one exact-integer add.
-fn scan_packed_unweighted<K, F>(
-    words: &[u64],
-    key_of: &F,
-    counts: &mut Accumulator,
-    rows: &mut usize,
-    tally: &mut ScanTally,
-) where
-    K: Copy + PartialEq + Into<u128>,
-    F: Fn(usize) -> K,
-{
-    let mut last: Option<K> = None;
-    let mut run = 0.0f64;
-    for (wi, &w) in words.iter().enumerate() {
-        if w == 0 {
-            tally.words_skipped += 1;
-            continue;
-        }
-        let base = wi * 64;
-        let mut bits = w;
-        while bits != 0 {
-            let i = base + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let key = key_of(i);
-            if last == Some(key) {
-                run += 1.0;
-            } else {
-                if let Some(k) = last {
-                    counts.add(k.into(), run);
-                    tally.adds += 1;
-                }
-                last = Some(key);
-                run = 1.0;
-            }
-            *rows += 1;
-        }
-    }
-    if let Some(k) = last {
-        counts.add(k.into(), run);
-        tally.adds += 1;
-    }
-}
-
-/// Packed-mask scan, weighted: strict per-row ascending accumulation (f64
-/// weight sums are order-sensitive), zero/negative weights skipped.
-#[allow(clippy::too_many_arguments)]
-fn scan_packed_weighted<K, F>(
-    words: &[u64],
-    key_of: &F,
-    weights: &[f64],
-    counts: &mut Accumulator,
-    total: &mut f64,
-    rows: &mut usize,
-    tally: &mut ScanTally,
-) where
-    K: Copy + PartialEq + Into<u128>,
-    F: Fn(usize) -> K,
-{
-    for (wi, &w) in words.iter().enumerate() {
-        if w == 0 {
-            tally.words_skipped += 1;
-            continue;
-        }
-        let base = wi * 64;
-        let mut bits = w;
-        while bits != 0 {
-            let i = base + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let wt = weights[i];
-            if wt <= 0.0 {
-                continue;
-            }
-            counts.add(key_of(i).into(), wt);
-            tally.adds += 1;
-            *total += wt;
-            *rows += 1;
-        }
-    }
+        (None, None) => scan_range_unweighted(n, &key_of, counts, tally),
+        (sel, Some(w)) => return scan_weighted(sel, n, &key_of, w, counts, tally),
+    };
+    // Unweighted increments are exactly 1.0, so the total is the exact
+    // integer `rows` — identical to summing 1.0 per row.
+    (rows as f64, rows)
 }
 
 /// Unconstrained scan (no mask, no nulls), unweighted, run-coalesced.
+/// Returns the rows counted.
 fn scan_range_unweighted<K, F>(
     n: usize,
     key_of: &F,
     counts: &mut Accumulator,
-    rows: &mut usize,
     tally: &mut ScanTally,
-) where
+) -> usize
+where
     K: Copy + PartialEq + Into<u128>,
     F: Fn(usize) -> K,
 {
@@ -252,35 +221,58 @@ fn scan_range_unweighted<K, F>(
             run = 1.0;
         }
     }
-    *rows = n;
     if let Some(k) = last {
         counts.add(k.into(), run);
         tally.adds += 1;
     }
+    n
 }
 
-/// Unconstrained scan, weighted, strict per-row order.
-fn scan_range_weighted<K, F>(
+/// Weighted scan over the packed selection (or every row): strict
+/// per-row ascending accumulation (f64 weight sums are order-sensitive),
+/// zero/negative weights skipped. Returns the total weight and the rows
+/// counted.
+fn scan_weighted<K, F>(
+    selection: Option<&Bitmap>,
     n: usize,
     key_of: &F,
     weights: &[f64],
     counts: &mut Accumulator,
-    total: &mut f64,
-    rows: &mut usize,
     tally: &mut ScanTally,
-) where
-    K: Copy + PartialEq + Into<u128>,
+) -> (f64, usize)
+where
+    K: Copy + Into<u128>,
     F: Fn(usize) -> K,
 {
-    for (i, &wt) in weights.iter().enumerate().take(n) {
-        if wt <= 0.0 {
-            continue;
+    let mut total = 0.0;
+    let mut rows = 0usize;
+    let mut visit = |i: usize| {
+        let wt = weights[i];
+        if wt > 0.0 {
+            counts.add(key_of(i).into(), wt);
+            total += wt;
+            rows += 1;
         }
-        counts.add(key_of(i).into(), wt);
-        tally.adds += 1;
-        *total += wt;
-        *rows += 1;
+    };
+    match selection {
+        Some(sel) => {
+            for (wi, &w) in sel.words().iter().enumerate() {
+                if w == 0 {
+                    tally.words_skipped += 1;
+                    continue;
+                }
+                let base = wi * 64;
+                let mut bits = w;
+                while bits != 0 {
+                    visit(base + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        None => (0..n).for_each(&mut visit),
     }
+    tally.adds += rows as u64;
+    (total, rows)
 }
 
 /// Weighted joint counts over a set of variables.
@@ -306,22 +298,10 @@ impl JointCounts {
     ///
     /// All variables must share the same length; `vars` must be non-empty.
     ///
-    /// Dispatches on the process-global [`KernelMode`]; the result is
-    /// bit-identical across modes (rows are visited in ascending order
-    /// either way, so every f64 accumulation order is preserved).
+    /// Rows are visited in ascending order, so every f64 accumulation
+    /// order is fixed and the result is bit-identical run to run.
     pub fn count(vars: &[&Codes], mask: Option<&Bitmap>, weights: Option<&[f64]>) -> JointCounts {
-        Self::count_with_mode(vars, mask, weights, kernel::mode())
-    }
-
-    /// [`JointCounts::count`] with an explicit [`KernelMode`], for tests
-    /// and benches that must not rely on (or race over) the global mode.
-    pub fn count_with_mode(
-        vars: &[&Codes],
-        mask: Option<&Bitmap>,
-        weights: Option<&[f64]>,
-        mode: KernelMode,
-    ) -> JointCounts {
-        Self::count_impl(vars, mask, weights, mode, false)
+        Self::count_impl(vars, mask, weights, false)
     }
 
     /// [`JointCounts::count`] with the accumulator forced sparse — a test
@@ -332,14 +312,13 @@ impl JointCounts {
         mask: Option<&Bitmap>,
         weights: Option<&[f64]>,
     ) -> JointCounts {
-        Self::count_impl(vars, mask, weights, KernelMode::Auto, true)
+        Self::count_impl(vars, mask, weights, true)
     }
 
     fn count_impl(
         vars: &[&Codes],
         mask: Option<&Bitmap>,
         weights: Option<&[f64]>,
-        mode: KernelMode,
         force_sparse: bool,
     ) -> JointCounts {
         assert!(
@@ -365,129 +344,57 @@ impl JointCounts {
             .iter()
             .try_fold(1u128, |acc, &r| acc.checked_mul(r))
             .expect("joint key space exceeds u128");
-        let vectorized = mode == KernelMode::Auto && n <= u32::MAX as usize;
         // Fold the mask and every validity bitmap into one packed
         // word-level AND. `None` means no constraint exists and `0..n` is
         // the selection. Computed before the accumulator so the dense
         // decision can be row-aware.
-        let selection: Option<Option<Bitmap>> = if vectorized {
-            let validities: Vec<&Bitmap> =
-                vars.iter().filter_map(|v| v.validity.as_ref()).collect();
-            Some(complete_case_mask(n, mask, &validities))
-        } else {
-            None
-        };
-        let rows_to_scan = match &selection {
-            Some(Some(s)) => s.count_ones(),
-            _ => n,
-        };
+        let validities: Vec<&Bitmap> = vars.iter().filter_map(|v| v.validity.as_ref()).collect();
+        let selection = complete_case_mask(n, mask, &validities);
+        let rows_to_scan = selection.as_ref().map_or(n, Bitmap::count_ones);
 
-        let mut counts = if force_sparse {
+        let mut counts = if !force_sparse && dense_for_scan(space, rows_to_scan as u128) {
+            Accumulator::Dense(vec![0.0; space as usize])
+        } else {
             Accumulator::Sparse(HashMap::new())
-        } else if vectorized {
-            Accumulator::for_scan(space, rows_to_scan as u128)
-        } else {
-            Accumulator::with_capacity(space)
         };
-        let mut total = 0.0;
-        let mut rows = 0usize;
         let mut tally = ScanTally::default();
-
-        let rows_scanned: u64;
-        if let Some(selection) = selection {
-            rows_scanned = rows_to_scan as u64;
-            if space <= u64::MAX as u128 {
-                // All keys fit u64: mixed-radix arithmetic in one word.
-                let radices64: Vec<u64> = radices.iter().map(|&r| r as u64).collect();
-                let key_of = |i: usize| -> u64 {
-                    let mut key = 0u64;
-                    for (v, r) in vars.iter().zip(&radices64).rev() {
-                        key = key * r + v.codes[i] as u64;
-                    }
-                    key
-                };
-                scan_vectorized(
-                    selection.as_ref(),
-                    n,
-                    key_of,
-                    weights,
-                    &mut counts,
-                    &mut total,
-                    &mut rows,
-                    &mut tally,
-                );
-            } else {
-                let key_of = |i: usize| -> u128 {
-                    let mut key = 0u128;
-                    for (v, r) in vars.iter().zip(&radices).rev() {
-                        key = key * r + v.codes[i] as u128;
-                    }
-                    key
-                };
-                scan_vectorized(
-                    selection.as_ref(),
-                    n,
-                    key_of,
-                    weights,
-                    &mut counts,
-                    &mut total,
-                    &mut rows,
-                    &mut tally,
-                );
-            }
+        let selection = selection.as_ref();
+        let (total, rows) = if space <= u64::MAX as u128 {
+            // All keys fit u64: mixed-radix arithmetic in one word.
+            let radices64: Vec<u64> = radices.iter().map(|&r| r as u64).collect();
+            let key_of = |i: usize| -> u64 {
+                let mut key = 0u64;
+                for (v, r) in vars.iter().zip(&radices64).rev() {
+                    key = key * r + v.codes[i] as u64;
+                }
+                key
+            };
+            scan(selection, n, key_of, weights, &mut counts, &mut tally)
         } else {
-            // Legacy path: per-row masked scan with a branchy validity
-            // chain. Kept (a) as the route for tables too large for u32
-            // selection vectors and (b) so the bench harness can compare
-            // kernels against the original behavior on identical inputs.
-            let validities: Vec<Option<&Bitmap>> =
-                vars.iter().map(|v| v.validity.as_ref()).collect();
-            rows_scanned = n as u64;
-            'rows: for i in 0..n {
-                if let Some(m) = mask {
-                    if !m.get(i) {
-                        continue;
-                    }
-                }
-                for b in validities.iter().flatten() {
-                    if !b.get(i) {
-                        continue 'rows;
-                    }
-                }
+            let key_of = |i: usize| -> u128 {
                 let mut key = 0u128;
-                // Mixed radix, last variable as the most significant digit.
                 for (v, r) in vars.iter().zip(&radices).rev() {
                     key = key * r + v.codes[i] as u128;
                 }
-                let w = weights.map_or(1.0, |w| w[i]);
-                if w <= 0.0 {
-                    continue;
-                }
-                counts.add(key, w);
-                total += w;
-                rows += 1;
-            }
-            // Legacy accounting: one accumulator op per counted row.
-            tally.adds = rows as u64;
-        }
+                key
+            };
+            scan(selection, n, key_of, weights, &mut counts, &mut tally)
+        };
 
         // One batched counter update per build. `tally.adds` counts
-        // accumulator writes — equal to counted rows on the legacy and
-        // weighted paths, and the (smaller) number of coalesced runs on
-        // unweighted vectorized scans.
+        // accumulator writes — counted rows on weighted scans, the
+        // (smaller) number of coalesced runs on unweighted ones.
         let dense = counts.is_dense();
         let counters = kernel::counters();
         counters.record_build(
-            rows_scanned,
+            rows_to_scan as u64,
             if dense { 0 } else { tally.adds },
             if dense { tally.adds } else { 0 },
             dense,
         );
-        if vectorized {
-            counters.record_scan_width(ScanWidth::for_space(space));
-            if tally.words_skipped > 0 {
-                counters.record_packed_words_skipped(tally.words_skipped);
-            }
+        counters.record_scan_width(ScanWidth::for_space(space));
+        if tally.words_skipped > 0 {
+            counters.record_packed_words_skipped(tally.words_skipped);
         }
 
         JointCounts {
@@ -541,7 +448,6 @@ impl JointCounts {
         if keeps.iter().all(|k| is_joint(k)) {
             return vec![self.entropy_and_cells(); keeps.len()];
         }
-        assert!(nvars <= 16, "too many joint variables");
         if self.radices.iter().product::<u128>() > u64::MAX as u128 {
             return keeps.iter().map(|k| self.wide_marginal(k)).collect();
         }
@@ -569,7 +475,7 @@ impl JointCounts {
             })
             .collect();
         let mut joint = EntropyFold::default();
-        let mut digits = [0u64; 16];
+        let mut digits = vec![0u64; nvars];
         for &(key, c) in &cells {
             joint.push(c);
             let mut rest = key;
@@ -597,11 +503,11 @@ impl JointCounts {
     /// `u128` digit decoding into a stably sorted list, summed per key in
     /// visit order.
     fn wide_marginal(&self, keep: &[usize]) -> (f64, usize) {
+        let mut digits = vec![0u128; self.radices.len()];
         let mut pairs: Vec<(u128, f64)> = self
             .counts
             .iter()
             .map(|(mut key, c)| {
-                let mut digits = [0u128; 16];
                 for (d, &r) in digits.iter_mut().zip(&self.radices) {
                     *d = key % r;
                     key /= r;
@@ -744,41 +650,104 @@ mod tests {
         j.counts.iter().map(|(k, c)| (k, c.to_bits())).collect()
     }
 
+    /// The counting oracle: one ordered-map entry per complete-case row,
+    /// visited in ascending row order, keyed by the same mixed-radix key
+    /// (first variable fastest). Returns `(cells, total, rows)`.
+    fn oracle(
+        vars: &[&Codes],
+        mask: Option<&Bitmap>,
+        weights: Option<&[f64]>,
+    ) -> (Vec<(u128, u64)>, u64, usize) {
+        use std::collections::BTreeMap;
+        let mut map: BTreeMap<u128, f64> = BTreeMap::new();
+        let (mut total, mut rows) = (0.0f64, 0usize);
+        for i in 0..vars[0].len() {
+            let selected = mask.is_none_or(|m| m.get(i)) && vars.iter().all(|v| v.is_valid(i));
+            let w = weights.map_or(1.0, |w| w[i]);
+            if !selected || w <= 0.0 {
+                continue;
+            }
+            let key = vars.iter().rev().fold(0u128, |k, v| {
+                k * (v.cardinality as u128).max(1) + v.codes[i] as u128
+            });
+            *map.entry(key).or_insert(0.0) += w;
+            total += w;
+            rows += 1;
+        }
+        let cells = map.into_iter().map(|(k, c)| (k, c.to_bits())).collect();
+        (cells, total.to_bits(), rows)
+    }
+
+    /// Asserts a build reproduces the oracle bit for bit.
+    fn assert_matches_oracle(
+        j: &JointCounts,
+        vars: &[&Codes],
+        mask: Option<&Bitmap>,
+        w: Option<&[f64]>,
+    ) {
+        let (want, total, rows) = oracle(vars, mask, w);
+        assert_eq!(cells(j), want);
+        assert_eq!(j.total.to_bits(), total);
+        assert_eq!(j.rows, rows);
+    }
+
     #[test]
-    fn kernel_and_legacy_paths_agree_bitwise() {
-        let mut x = codes(&[0, 3, 1, 2, 3, 0, 1, 1, 2], 4);
-        let mut validity = Bitmap::with_value(9, true);
+    fn kernel_paths_match_counting_oracle() {
+        let mut x = codes(&[0, 3, 1, 2, 3, 0, 1, 1, 2, 2, 2, 3], 4);
+        let mut validity = Bitmap::with_value(12, true);
         validity.set(4, false);
         x.validity = Some(validity);
-        let y = codes(&[1, 0, 1, 0, 1, 1, 0, 0, 1], 2);
-        let mask: Bitmap = (0..9).map(|i| i != 2).collect();
-        let weights = [0.5, 1.25, 2.0, 0.0, 1.0, 3.5, 0.75, 1.0, 0.25];
-
-        let auto =
-            JointCounts::count_with_mode(&[&x, &y], Some(&mask), Some(&weights), KernelMode::Auto);
-        let legacy = JointCounts::count_with_mode(
-            &[&x, &y],
-            Some(&mask),
-            Some(&weights),
-            KernelMode::Legacy,
+        let y = codes(&[1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0], 2);
+        let mask: Bitmap = (0..12).map(|i| i != 2).collect();
+        let weights = [
+            0.5, 1.25, 2.0, 0.0, 1.0, 3.5, 0.75, 1.0, 0.25, 1.5, -1.0, 2.25,
+        ];
+        let vars = [&x, &y];
+        for m in [None, Some(&mask)] {
+            for w in [None, Some(&weights[..])] {
+                let dense = JointCounts::count(&vars, m, w);
+                let sparse = JointCounts::count_forced_sparse(&vars, m, w);
+                assert!(dense.counts.is_dense());
+                assert!(!sparse.counts.is_dense());
+                assert_matches_oracle(&dense, &vars, m, w);
+                assert_matches_oracle(&sparse, &vars, m, w);
+                assert_eq!(dense.entropy().to_bits(), sparse.entropy().to_bits());
+            }
+        }
+        // No constraint at all: the unmasked range scan.
+        let z = codes(&[2, 2, 2, 0, 1, 1, 0, 0, 0, 2, 1, 1], 3);
+        assert_matches_oracle(
+            &JointCounts::count(&[&z, &y], None, None),
+            &[&z, &y],
+            None,
+            None,
         );
-        let sparse = JointCounts::count_forced_sparse(&[&x, &y], Some(&mask), Some(&weights));
-
-        assert_eq!(auto.rows, legacy.rows);
-        assert_eq!(auto.total.to_bits(), legacy.total.to_bits());
-        assert_eq!(cells(&auto), cells(&legacy));
-        assert!(auto.counts.is_dense());
-        assert!(!sparse.counts.is_dense());
-        assert_eq!(cells(&auto), cells(&sparse));
-        assert_eq!(auto.entropy().to_bits(), legacy.entropy().to_bits());
-        assert_eq!(auto.entropy().to_bits(), sparse.entropy().to_bits());
+        // Long runs of equal keys, coalesced into one add each, masked and
+        // unmasked.
+        let runs: Vec<u32> = (0..300).map(|i| (i / 40 % 3) as u32).collect();
+        let r = codes(&runs, 3);
+        let every_third: Bitmap = (0..300).map(|i| i % 3 != 0).collect();
+        for m in [None, Some(&every_third)] {
+            assert_matches_oracle(&JointCounts::count(&[&r], m, None), &[&r], m, None);
+        }
+        // A key space beyond u64 takes the u128 keys.
+        let wide = codes(&[7, 1 << 30, 5, 7, 9, 1 << 30, 7, 0, 0, 1, 2, 3], u32::MAX);
+        let vars = [&wide, &wide, &wide, &y];
+        for w in [None, Some(&weights[..])] {
+            assert_matches_oracle(
+                &JointCounts::count(&vars, Some(&mask), w),
+                &vars,
+                Some(&mask),
+                w,
+            );
+        }
     }
 
     #[test]
     fn builds_move_kernel_counters() {
         let x = codes(&[0, 1, 0, 1], 2);
         let before = crate::kernel::counters().snapshot();
-        let j = JointCounts::count_with_mode(&[&x], None, None, KernelMode::Auto);
+        let j = JointCounts::count(&[&x], None, None);
         assert!(j.counts.is_dense());
         let d = crate::kernel::counters().snapshot().delta(&before);
         assert!(d.rows_scanned >= 4);

@@ -428,8 +428,13 @@ mod tests {
         let kg = lake.to_knowledge_graph(base.column("Country").unwrap(), &LakeOptions::default());
         let query =
             nexus_query::parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
-        let e = nexus_core::Nexus::default()
-            .explain(&base, &kg, &["Country".to_string()], &query)
+        let request = nexus_core::ExplainRequest::new()
+            .table(&base)
+            .lake(kg)
+            .extraction_column("Country")
+            .query(&query);
+        let (e, _) = nexus_core::Nexus::default()
+            .run_controlled(&request, nexus_core::RunControl::none())
             .unwrap();
         assert!(e.names().contains(&"Country::stats.hdi"), "{:?}", e.names());
         assert!(e.explained_fraction() > 0.8);

@@ -402,13 +402,6 @@ impl Client {
         }
     }
 
-    /// Requests an explanation of `sql` over the resident dataset.
-    #[deprecated(note = "use Client::call with an ExplainCall builder, \
-                or Session::submit for pipelining")]
-    pub fn explain(&mut self, dataset: &str, sql: &str) -> Result<ExplainResponse, ClientError> {
-        self.call(&ExplainCall::new(dataset, sql))
-    }
-
     /// Fetches cumulative server statistics.
     pub fn stats(&mut self) -> Result<ServerStatsWire, ClientError> {
         match self.roundtrip(&Frame::Stats)? {

@@ -10,8 +10,9 @@
 //! requests for the lifetime of the process:
 //!
 //! * requests run the query-dependent pipeline stages via
-//!   [`Nexus::run_with_extractions`], whose candidate scoring executes on
-//!   the `nexus-runtime` scoped pool;
+//!   [`Nexus::run_controlled`] over the resident extractions
+//!   ([`ExplainRequest::extractions`]), whose candidate scoring executes
+//!   on the `nexus-runtime` scoped pool;
 //! * a bounded [`LruCache`] keyed by (canonical query signature, dataset
 //!   fingerprint, options fingerprint) stores the encoded deterministic
 //!   explanation bytes — a hit echoes the stored bytes verbatim, so hot
@@ -78,8 +79,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nexus_core::{
-    ColumnExtraction, CoreError, Explanation, MemoHandle, MemoKind, MemoStore, Nexus, NexusOptions,
-    ProgressEvent, RunControl,
+    ColumnExtraction, CoreError, ExplainRequest, Explanation, MemoHandle, MemoKind, MemoStore,
+    Nexus, NexusOptions, ProgressEvent, RunControl,
 };
 use nexus_kg::KnowledgeGraph;
 use nexus_query::parse;
@@ -925,7 +926,11 @@ impl Server {
         let memo = MemoHandle::new(Arc::clone(&self.inner.memo), dataset.fingerprint);
         let ctl = ctl.with_memo(&memo);
         let refs: Vec<&ColumnExtraction> = dataset.extractions.iter().map(Arc::as_ref).collect();
-        match nexus.run_with_extractions_controlled(&dataset.table, &refs, &query, ctl) {
+        let request = ExplainRequest::new()
+            .table(&dataset.table)
+            .extractions(&refs)
+            .query(&query);
+        match nexus.run_controlled(&request, ctl) {
             Ok((explanation, _artifacts)) => {
                 let bytes = Arc::new(explanation_to_wire(&explanation).encode());
                 self.inner

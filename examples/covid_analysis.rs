@@ -5,7 +5,7 @@
 
 use nexus::datagen::{load, queries_for, DatasetKind, Scale};
 use nexus::query::{execute, Catalog};
-use nexus::{Nexus, NexusOptions};
+use nexus::{ExplainRequest, Nexus, NexusOptions, RunControl};
 
 fn main() {
     let dataset = load(DatasetKind::Covid, Scale::Default);
@@ -30,13 +30,13 @@ fn main() {
     // NEXUS explains the correlation.
     let options = NexusOptions::default();
     let nexus = Nexus::new(options);
-    let e = nexus
-        .explain(
-            &dataset.table,
-            &dataset.kg,
-            &dataset.extraction_columns,
-            &query,
-        )
+    let request = ExplainRequest::new()
+        .table(&dataset.table)
+        .knowledge_graph(&dataset.kg)
+        .extraction_columns(dataset.extraction_columns.iter().cloned())
+        .query(&query);
+    let (e, _) = nexus
+        .run_controlled(&request, RunControl::none())
         .expect("pipeline runs");
 
     println!(

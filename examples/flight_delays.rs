@@ -8,7 +8,7 @@ use nexus::baselines::{
     BruteForce, CajadeBaseline, ExplainMethod, HypDbBaseline, LinearRegressionBaseline, TopK,
 };
 use nexus::datagen::{load, queries_for, DatasetKind, Scale};
-use nexus::{Nexus, NexusOptions};
+use nexus::{ExplainRequest, Nexus, NexusOptions, RunControl};
 
 fn main() {
     let dataset = load(DatasetKind::Flights, Scale::Default);
@@ -25,13 +25,13 @@ fn main() {
 
     let nexus = Nexus::new(options.clone());
     let t0 = std::time::Instant::now();
+    let request = ExplainRequest::new()
+        .table(&dataset.table)
+        .knowledge_graph(&dataset.kg)
+        .extraction_columns(dataset.extraction_columns.iter().cloned())
+        .query(&query);
     let (e, artifacts) = nexus
-        .explain_with_artifacts(
-            &dataset.table,
-            &dataset.kg,
-            &dataset.extraction_columns,
-            &query,
-        )
+        .run_controlled(&request, RunControl::none())
         .expect("pipeline runs");
     println!("{:<14} {:>8.2?}  {:?}", "MESA", t0.elapsed(), e.names());
 

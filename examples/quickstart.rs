@@ -5,7 +5,7 @@
 
 use nexus::kg::KnowledgeGraph;
 use nexus::table::{Column, Table};
-use nexus::{parse, Nexus};
+use nexus::{parse, ExplainRequest, Nexus, RunControl};
 
 fn main() {
     // A tiny developer-survey table: salary looks like it depends on the
@@ -54,8 +54,13 @@ fn main() {
     println!("{result}");
 
     // Ask NEXUS why.
-    let explanation = Nexus::default()
-        .explain(&table, &kg, &["Country".to_string()], &query)
+    let request = ExplainRequest::new()
+        .table(&table)
+        .knowledge_graph(&kg)
+        .extraction_column("Country")
+        .query(&query);
+    let (explanation, _) = Nexus::default()
+        .run_controlled(&request, RunControl::none())
         .expect("pipeline runs");
 
     println!(

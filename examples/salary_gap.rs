@@ -7,7 +7,7 @@
 
 use nexus::core::{unexplained_subgroups, SubgroupOptions};
 use nexus::datagen::{load, queries_for, DatasetKind, Scale};
-use nexus::{Nexus, NexusOptions};
+use nexus::{ExplainRequest, Nexus, NexusOptions, RunControl};
 
 fn main() {
     let dataset = load(DatasetKind::So, Scale::Default);
@@ -17,13 +17,13 @@ fn main() {
     let q1 = queries_for(DatasetKind::So)[0];
     let query = q1.parsed();
     println!("Q1: {query}");
+    let request = ExplainRequest::new()
+        .table(&dataset.table)
+        .knowledge_graph(&dataset.kg)
+        .extraction_columns(dataset.extraction_columns.iter().cloned())
+        .query(&query);
     let (e, artifacts) = nexus
-        .explain_with_artifacts(
-            &dataset.table,
-            &dataset.kg,
-            &dataset.extraction_columns,
-            &query,
-        )
+        .run_controlled(&request, RunControl::none())
         .expect("pipeline runs");
     println!(
         "  explanation: {:?}  ({:.0}% of the correlation explained)\n",
@@ -65,13 +65,13 @@ fn main() {
     let q3 = queries_for(DatasetKind::So)[2];
     let query3 = q3.parsed();
     println!("\nQ3 (refined): {query3}");
-    let e3 = nexus
-        .explain(
-            &dataset.table,
-            &dataset.kg,
-            &dataset.extraction_columns,
-            &query3,
-        )
+    let request = ExplainRequest::new()
+        .table(&dataset.table)
+        .knowledge_graph(&dataset.kg)
+        .extraction_columns(dataset.extraction_columns.iter().cloned())
+        .query(&query3);
+    let (e3, _) = nexus
+        .run_controlled(&request, RunControl::none())
         .expect("pipeline runs");
     println!(
         "  explanation: {:?}  ({:.0}% explained)",

@@ -6,12 +6,12 @@
 # BENCH_<query-id>.json (e.g. BENCH_FL-Q1.json). The set covers the five
 # Flights queries (1M rows) and the three synthetic region-blocked
 # planted-confounder workloads (SYN-B1 plain, SYN-W1 IPW-weighted,
-# SYN-M1 masked; 10M rows by default). Each JSON compares kernel
-# operation counters (rows scanned, hash ops, dense ops, narrow scans,
-# packed words skipped, radix vs full merge cells) between the legacy
-# hashed row-scan path and the v2 dense/fused kernel path — counters
-# are machine-independent, so the numbers are reproducible anywhere;
-# wall-clock is recorded but never gated on.
+# SYN-M1 masked; 10M rows by default). Each JSON (schema_version 4)
+# records kernel operation counters (rows scanned, hash ops, dense ops,
+# narrow scans, packed words skipped, radix vs full merge cells) and an
+# explanation signature for a plain pass and a memo-cold/memo-warm pair
+# — counters are machine-independent, so the numbers are reproducible
+# anywhere; wall-clock is recorded but never gated on.
 #
 # Usage:
 #   scripts/bench.sh                       # all workloads, 8 threads
@@ -20,12 +20,12 @@
 #   scripts/bench.sh --rows 500000 --threads 4
 #
 # Unrecognized flags are forwarded to bench-explain; --check makes the
-# harness exit nonzero unless the acceptance thresholds hold (>= 3x
-# fewer hash ops, bit-identical outputs, kernel rows <= legacy rows,
-# coalesced dense writes below rows, radix merges below the v1 bill,
-# narrow scans engaged, pool engaged). The CI smoke invokes
-# bench-explain directly (quick workloads, artifacts under target/) —
-# see scripts/ci.sh.
+# harness exit nonzero unless the acceptance thresholds hold (bit-identical
+# memo outputs, coalesced dense writes below rows, radix merges below the
+# v1 bill, narrow scans engaged, pool engaged, warm memo pass hits). The
+# CI smoke invokes bench-explain directly (quick workloads, artifacts
+# under target/) and compares each report with the checked-in quick
+# report under results/bench_quick/ — see scripts/ci.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

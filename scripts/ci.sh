@@ -157,35 +157,45 @@ step_bench() {
     # Runs the counting-kernel harness on small fixed-seed workloads: the
     # FL-Q1 paper query plus the synthetic planted-confounder workloads
     # (plain and masked). --check fails on counter regressions only
-    # (hash-op ratio, rows scanned, coalesced dense writes, radix-vs-full
-    # merge cells, narrow scans, pool engagement, memo engagement,
-    # bit-identical outputs) — never on wall-clock. Reports are kept under
-    # target/ so CI can upload them.
+    # (coalesced dense writes, radix-vs-full merge cells, narrow scans,
+    # pool engagement, memo engagement, memo outputs identical) — never on
+    # wall-clock. Each report is then compared with the checked-in quick
+    # report of the same workload (results/bench_quick/): the plain pass
+    # may scan no more rows and make no more hash operations, and its
+    # explanation signature must be equal. Reports are kept under target/
+    # so CI can upload them.
     for id in FL-Q1 SYN-B1 SYN-M1; do
         BENCH_OUT="target/BENCH_${id}.json"
+        BENCH_BASE="results/bench_quick/BENCH_${id}.json"
         target/release/bench-explain --quick --threads 2 --check \
             --query "$id" --out "$BENCH_OUT" 2> /dev/null
-        for key in schema_version workload legacy kernel ratios checks \
+        for key in schema_version workload kernel ratios checks \
             rows_scanned hash_ops dense_ops dense_builds sparse_builds \
             narrow_scans packed_words_skipped radix_merge_cells \
-            full_merge_cells builds_by_width pool_tasks dense_scan_improved \
-            merge_improved narrow_engaged memo_cold memo_warm memo_hits \
-            memo_coalesced_waits memo_hit_rate memo_pool_tasks \
-            memo_engaged; do
+            full_merge_cells builds_by_width pool_tasks signature \
+            dense_scan_improved merge_improved narrow_engaged memo_cold \
+            memo_warm memo_hits memo_coalesced_waits memo_hit_rate \
+            memo_pool_tasks memo_engaged; do
             if ! grep -q "\"$key\"" "$BENCH_OUT"; then
                 echo "$BENCH_OUT missing key: $key" >&2
                 exit 1
             fi
         done
-        if ! grep -q '"outputs_identical": true' "$BENCH_OUT"; then
-            echo "$BENCH_OUT: kernel and legacy outputs diverged" >&2
-            exit 1
-        fi
         if ! grep -q '"memo_outputs_identical": true' "$BENCH_OUT"; then
             echo "$BENCH_OUT: memoized and cold outputs diverged" >&2
             exit 1
         fi
-        echo "    ${id}: counters within bounds, outputs identical ($BENCH_OUT)"
+        for gate in \
+            "rows_scanned:.kernel.rows_scanned <= \$base.kernel.rows_scanned" \
+            "hash_ops:.kernel.hash_ops <= \$base.kernel.hash_ops" \
+            "signature:.kernel.signature == \$base.kernel.signature"; do
+            if ! jq -e --argjson base "$(cat "$BENCH_BASE")" "${gate#*:}" \
+                "$BENCH_OUT" > /dev/null; then
+                echo "$BENCH_OUT: ${gate%%:*} regressed against $BENCH_BASE" >&2
+                exit 1
+            fi
+        done
+        echo "    ${id}: counters within bounds, outputs identical to $BENCH_BASE"
     done
 }
 

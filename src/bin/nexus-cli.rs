@@ -54,7 +54,7 @@ use nexus::serve::{
 };
 use nexus::table::{read_csv_path, Table};
 use nexus::telemetry::MetricKind;
-use nexus::{parse, ExplainRequest, Nexus, NexusOptions};
+use nexus::{parse, ExplainRequest, Nexus, NexusOptions, RunControl};
 
 fn usage() -> ! {
     eprintln!(
@@ -619,7 +619,7 @@ fn run_explain(args: &ExplainArgs) -> Result<(), String> {
         .query(&query);
     let nexus = Nexus::new(options);
     let (explanation, artifacts) = nexus
-        .run_with_artifacts(&request)
+        .run_controlled(&request, RunControl::none())
         .map_err(|e| format!("pipeline failed: {e}"))?;
 
     print_explanation(&query.to_string(), &explanation_to_wire(&explanation));

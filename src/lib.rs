@@ -35,7 +35,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use nexus::{parse, ExplainRequest, Nexus, NexusOptions};
+//! use nexus::{parse, ExplainRequest, Nexus, NexusOptions, RunControl};
 //! use nexus::kg::KnowledgeGraph;
 //! use nexus::table::{Column, Table};
 //!
@@ -63,7 +63,9 @@
 //!     .extraction_column("Country")
 //!     .query(&query);
 //! let options = NexusOptions::builder().threads(2).build().unwrap();
-//! let explanation = Nexus::new(options).run(&request).unwrap();
+//! let (explanation, _) = Nexus::new(options)
+//!     .run_controlled(&request, RunControl::none())
+//!     .unwrap();
 //! assert!(explanation.names().contains(&"Country::hdi"));
 //! ```
 
@@ -84,6 +86,6 @@ pub use nexus_table as table;
 pub use nexus_telemetry as telemetry;
 
 pub use nexus_core::{
-    ExplainRequest, Explanation, Nexus, NexusOptions, NexusOptionsBuilder, Parallelism,
+    ExplainRequest, Explanation, Nexus, NexusOptions, NexusOptionsBuilder, Parallelism, RunControl,
 };
 pub use nexus_query::parse;

@@ -1,11 +1,27 @@
 //! Cross-crate integration tests: SQL text in, explanation out, exercising
 //! every workspace crate through the public facade.
 
-use nexus::core::{unexplained_subgroups, CandidateSource, SubgroupOptions};
+use nexus::core::{unexplained_subgroups, CandidateSource, RunArtifacts, SubgroupOptions};
 use nexus::kg::{KnowledgeGraph, PropertyValue};
+use nexus::query::AggregateQuery;
 use nexus::query::{execute, Catalog};
 use nexus::table::{Column, Table};
-use nexus::{parse, Nexus, NexusOptions};
+use nexus::{parse, ExplainRequest, Explanation, Nexus, NexusOptions, RunControl};
+
+/// Explains `query` over `table`, extracting KG candidates via `Country`.
+fn explain(
+    nexus: &Nexus,
+    table: &Table,
+    kg: &KnowledgeGraph,
+    query: &AggregateQuery,
+) -> (Explanation, RunArtifacts) {
+    let request = ExplainRequest::new()
+        .table(table)
+        .knowledge_graph(kg)
+        .extraction_column("Country")
+        .query(query);
+    nexus.run_controlled(&request, RunControl::none()).unwrap()
+}
 
 /// A compact world: 18 countries, two latent factors (development drives
 /// salary strongly, inequality weakly), one KG distractor per flavor.
@@ -68,9 +84,7 @@ fn sql_to_explanation() {
     assert_eq!(result.n_rows(), 36);
 
     // And the pipeline explains it.
-    let e = Nexus::default()
-        .explain(&table, &kg, &["Country".to_string()], &query)
-        .unwrap();
+    let e = explain(&Nexus::default(), &table, &kg, &query).0;
     assert!(e.initial_cmi > 0.5, "baseline {}", e.initial_cmi);
     assert!(
         e.names().contains(&"Country::hdi"),
@@ -91,12 +105,8 @@ fn context_refinement_changes_explanation() {
         parse("SELECT Country, avg(Salary) FROM t WHERE Continent = 'Europe' GROUP BY Country")
             .unwrap();
     let nexus = Nexus::default();
-    let e_all = nexus
-        .explain(&table, &kg, &["Country".to_string()], &q_all)
-        .unwrap();
-    let e_eu = nexus
-        .explain(&table, &kg, &["Country".to_string()], &q_eu)
-        .unwrap();
+    let e_all = explain(&nexus, &table, &kg, &q_all).0;
+    let e_eu = explain(&nexus, &table, &kg, &q_eu).0;
     // Both find an explanation; the European one runs on the refined mask.
     assert!(!e_all.names().is_empty());
     assert!(!e_eu.names().is_empty());
@@ -107,9 +117,7 @@ fn subgroups_after_explanation() {
     let (table, kg) = world();
     let query = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
     let nexus = Nexus::default();
-    let (e, artifacts) = nexus
-        .explain_with_artifacts(&table, &kg, &["Country".to_string()], &query)
-        .unwrap();
+    let (e, artifacts) = explain(&nexus, &table, &kg, &query);
     let subgroups = unexplained_subgroups(
         &table,
         &artifacts.set,
@@ -136,13 +144,9 @@ fn multi_hop_extraction_reaches_linked_entities() {
         hops: 2,
         ..NexusOptions::default()
     };
-    let e = Nexus::new(options)
-        .explain(&table, &kg, &["Country".to_string()], &query)
-        .unwrap();
+    let e = explain(&Nexus::new(options), &table, &kg, &query).0;
     // Multi-hop extraction adds candidates (ethnic-group aggregates).
-    let single_hop = Nexus::default()
-        .explain(&table, &kg, &["Country".to_string()], &query)
-        .unwrap();
+    let single_hop = explain(&Nexus::default(), &table, &kg, &query).0;
     assert!(
         e.stats.n_candidates_initial > single_hop.stats.n_candidates_initial,
         "2-hop {} vs 1-hop {}",
@@ -155,9 +159,7 @@ fn multi_hop_extraction_reaches_linked_entities() {
 fn explanation_sources_are_tracked() {
     let (table, kg) = world();
     let query = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
-    let e = Nexus::default()
-        .explain(&table, &kg, &["Country".to_string()], &query)
-        .unwrap();
+    let e = explain(&Nexus::default(), &table, &kg, &query).0;
     for attr in &e.attributes {
         match &attr.source {
             CandidateSource::Extracted { column } => assert_eq!(column, "Country"),
@@ -179,8 +181,6 @@ fn csv_roundtrip_feeds_pipeline() {
         nexus::table::read_csv(buf.as_slice(), &nexus::table::CsvOptions::default()).unwrap();
     assert_eq!(table2.n_rows(), table.n_rows());
     let query = parse("SELECT Country, avg(Salary) FROM t GROUP BY Country").unwrap();
-    let e = Nexus::default()
-        .explain(&table2, &kg, &["Country".to_string()], &query)
-        .unwrap();
+    let e = explain(&Nexus::default(), &table2, &kg, &query).0;
     assert!(e.names().contains(&"Country::hdi"), "{:?}", e.names());
 }

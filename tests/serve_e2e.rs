@@ -14,7 +14,7 @@ use nexus::kg::{KnowledgeGraph, PropertyValue};
 use nexus::serve::wire::{decode_frame, encode_frame, Frame, MAGIC, MAX_VERSION};
 use nexus::serve::{explanation_to_wire, Client, ExplainCall, Server, ServerOptions, Session};
 use nexus::table::{Column, Table};
-use nexus::{parse, ExplainRequest, Nexus, NexusOptions};
+use nexus::{parse, ExplainRequest, Nexus, NexusOptions, RunControl};
 
 const SQL: &str = "SELECT Country, avg(Salary) FROM t GROUP BY Country";
 
@@ -118,14 +118,13 @@ fn unix_socket_round_trip_with_cache_guarantees() {
     // The served result equals a direct in-process run on the same data.
     let (table, kg) = world();
     let query = parse(SQL).unwrap();
-    let direct = Nexus::new(NexusOptions::default())
-        .run(
-            &ExplainRequest::new()
-                .table(&table)
-                .knowledge_graph(&kg)
-                .extraction_column("Country")
-                .query(&query),
-        )
+    let request = ExplainRequest::new()
+        .table(&table)
+        .knowledge_graph(&kg)
+        .extraction_column("Country")
+        .query(&query);
+    let (direct, _) = Nexus::new(NexusOptions::default())
+        .run_controlled(&request, RunControl::none())
         .expect("direct run");
     assert_eq!(
         explanation_to_wire(&direct).encode(),
