@@ -1,4 +1,4 @@
-//! Sub-query memoization with single-flight admission.
+//! Memoization with single-flight admission under one byte budget.
 //!
 //! The server's result cache only hits on byte-identical full requests,
 //! but different requests over the same dataset keep rebuilding the same
@@ -6,6 +6,9 @@
 //! per-set complete-case selection, marginal entropy/CMI terms, and KG
 //! extraction columns. [`MemoStore`] pushes the fingerprint-LRU
 //! discipline below the request level and caches those units directly.
+//! The server keeps its finished explanations ([`MemoKind::Result`]) and
+//! its materialized datasets ([`MemoKind::Dataset`]) in the same store,
+//! so one budget bounds everything the process keeps between requests.
 //!
 //! # Key schema
 //!
@@ -15,17 +18,21 @@
 //!   never alias even when the fingerprints agree.
 //! * `dataset_fp` — the *content* fingerprint of the dataset (table, KG,
 //!   and extraction-column names), so reloading the same bytes reuses
-//!   entries and any content change misses.
+//!   entries and any content change misses. `0` for
+//!   [`MemoKind::Dataset`], whose content is only known once built.
 //! * `set_fp` — the candidate-set fingerprint: the context mask's actual
 //!   words (not its popcount — two masks selecting the same number of
 //!   rows but different rows must not alias), plus the outcome and
 //!   exposure codes with their validity. For [`MemoKind::Extraction`]
-//!   this slot carries the options fingerprint instead (extractions are
-//!   query-independent but option-dependent).
+//!   and [`MemoKind::Result`] this slot carries the options fingerprint
+//!   instead (both are query-independent or whole-query values but
+//!   option-dependent); for [`MemoKind::Dataset`] it carries the
+//!   registration generation.
 //! * `weights_fp` — fingerprint of any IPW weight vector baked into the
 //!   value (`0` for the unweighted base units).
-//! * `name` — the column / term name, kept as a string so distinct names
-//!   can never hash-collide into one entry.
+//! * `name` — the column / term name, the canonical query signature of a
+//!   result, or the registry name of a dataset, kept as a string so
+//!   distinct names can never hash-collide into one entry.
 //!
 //! # Single-flight protocol
 //!
@@ -35,8 +42,10 @@
 //! key get [`Claim::Wait`] and park on a condvar via [`MemoStore::wait`]
 //! instead of duplicating pool tasks — each such park is counted as a
 //! `memo.coalesced_waits`. A builder that drops its ticket without
-//! publishing (panic, abort) wakes the waiters and one of them is
+//! publishing (error, panic, abort) wakes the waiters and one of them is
 //! elected the new builder, so a failed build never wedges the key.
+//! [`MemoStore::try_get_or_build`] wraps the protocol for fallible
+//! builds.
 //!
 //! # Budget
 //!
@@ -44,18 +53,23 @@
 //! (`max_bytes`, `0` = unbounded). Enforcement evicts least-recently-used
 //! entries, but never the entry just published and never an entry whose
 //! key is *pinned* — i.e. has a live in-flight record because a builder
-//! ticket is still open or waiters are still draining. Counters (per-kind
-//! hits/misses/inserts/evictions plus coalesced waits) flow through the
-//! process-global [`KernelCounters`](nexus_info::KernelCounters), so memo
-//! effectiveness is asserted the same way as every other kernel gain:
-//! with counters, never wall-clock.
+//! ticket is still open or waiters are still draining. Each store counts
+//! its own entries, bytes and budget evictions per kind
+//! ([`MemoStore::usage`]), so two stores in one process never mix their
+//! gauges. Traffic counters (per-kind hits/misses/inserts/evictions plus
+//! coalesced waits) also flow through the process-global
+//! [`KernelCounters`](nexus_info::KernelCounters), so memo effectiveness
+//! is asserted the same way as every other kernel gain: with counters,
+//! never wall-clock.
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use nexus_info::kernel::counters;
 pub use nexus_info::MemoKind;
+use nexus_info::MEMO_KINDS;
 use nexus_table::{Bitmap, Codes, Fnv64};
 
 /// A type-erased memoized value. Values are immutable once published and
@@ -153,15 +167,43 @@ struct Inflight {
     waiters: usize,
 }
 
+/// One kind's share of a store: what it holds now and how many of its
+/// entries the budget has evicted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindUsage {
+    /// Published entries of this kind.
+    pub entries: u64,
+    /// Bytes accounted to them.
+    pub bytes: u64,
+    /// Entries of this kind evicted by budget enforcement (not counting
+    /// [`MemoStore::remove`]).
+    pub evictions: u64,
+}
+
 struct State {
     map: HashMap<MemoKey, Entry>,
     inflight: HashMap<MemoKey, Inflight>,
     /// Logical LRU clock (bumped on insert and on every hit).
     clock: u64,
-    resident_bytes: u64,
+    usage: [KindUsage; MEMO_KINDS],
 }
 
-/// The byte-budgeted, single-flight sub-query memo store.
+impl State {
+    /// Unlinks a published entry and its accounting.
+    fn take(&mut self, key: &MemoKey) -> Option<Entry> {
+        let entry = self.map.remove(key)?;
+        let usage = &mut self.usage[key.kind as usize];
+        usage.entries -= 1;
+        usage.bytes -= entry.bytes;
+        Some(entry)
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.usage.iter().map(|u| u.bytes).sum()
+    }
+}
+
+/// The byte-budgeted, single-flight memo store.
 pub struct MemoStore {
     state: Mutex<State>,
     cond: Condvar,
@@ -173,7 +215,7 @@ impl std::fmt::Debug for MemoStore {
         let s = self.lock();
         f.debug_struct("MemoStore")
             .field("entries", &s.map.len())
-            .field("resident_bytes", &s.resident_bytes)
+            .field("resident_bytes", &s.resident_bytes())
             .field("inflight", &s.inflight.len())
             .field("max_bytes", &self.max_bytes)
             .finish()
@@ -222,7 +264,9 @@ impl<'a> BuildTicket<'a> {
         let mut s = self.store.lock();
         s.clock += 1;
         let stamp = s.clock;
-        s.resident_bytes += bytes;
+        let usage = &mut s.usage[self.key.kind as usize];
+        usage.entries += 1;
+        usage.bytes += bytes;
         s.map.insert(
             self.key.clone(),
             Entry {
@@ -236,10 +280,12 @@ impl<'a> BuildTicket<'a> {
         // The ticket's own in-flight record still pins the key, so
         // enforcement here can evict anything LRU *except* this entry
         // and other pinned keys.
-        self.store.enforce_budget(&mut s);
+        let evicted = self.store.enforce_budget(&mut s);
         release_flight(&mut s, &self.key, |rec| rec.builder_live = false);
         drop(s);
         self.store.cond.notify_all();
+        // Values (a whole dataset, say) are freed outside the lock.
+        drop(evicted);
     }
 }
 
@@ -276,7 +322,7 @@ impl MemoStore {
                 map: HashMap::new(),
                 inflight: HashMap::new(),
                 clock: 0,
-                resident_bytes: 0,
+                usage: [KindUsage::default(); MEMO_KINDS],
             }),
             cond: Condvar::new(),
             max_bytes,
@@ -301,7 +347,12 @@ impl MemoStore {
 
     /// Bytes currently accounted to published entries.
     pub fn resident_bytes(&self) -> u64 {
-        self.lock().resident_bytes
+        self.lock().resident_bytes()
+    }
+
+    /// This store's entries, bytes and budget evictions of one kind.
+    pub fn usage(&self, kind: MemoKind) -> KindUsage {
+        self.lock().usage[kind as usize]
     }
 
     /// Number of published entries.
@@ -326,18 +377,24 @@ impl MemoStore {
             counters().record_memo_coalesced_wait();
             return Claim::Wait;
         }
-        s.inflight.insert(
-            key.clone(),
-            Inflight {
+        Claim::Build(self.elect(&mut s, key))
+    }
+
+    /// Makes the caller the builder of `key`: its live in-flight record
+    /// pins the key until the returned ticket publishes or drops.
+    fn elect(&self, s: &mut State, key: &MemoKey) -> BuildTicket<'_> {
+        s.inflight
+            .entry(key.clone())
+            .or_insert(Inflight {
                 builder_live: true,
                 waiters: 0,
-            },
-        );
-        Claim::Build(BuildTicket {
+            })
+            .builder_live = true;
+        BuildTicket {
             store: self,
             key: key.clone(),
             published: false,
-        })
+        }
     }
 
     /// Blocks until the in-flight build of `key` resolves. Must be called
@@ -360,32 +417,14 @@ impl MemoStore {
                 Some(rec) if rec.builder_live => {
                     s = self.cond.wait(s).unwrap_or_else(PoisonError::into_inner);
                 }
-                Some(rec) => {
-                    // Builder abandoned: this waiter becomes the builder.
-                    rec.waiters -= 1;
-                    rec.builder_live = true;
-                    return WaitOutcome::Build(BuildTicket {
-                        store: self,
-                        key: key.clone(),
-                        published: false,
-                    });
-                }
-                None => {
-                    // The record vanished (value published and evicted
-                    // again before this waiter ran): start over as a
-                    // fresh builder.
-                    s.inflight.insert(
-                        key.clone(),
-                        Inflight {
-                            builder_live: true,
-                            waiters: 0,
-                        },
-                    );
-                    return WaitOutcome::Build(BuildTicket {
-                        store: self,
-                        key: key.clone(),
-                        published: false,
-                    });
+                rec => {
+                    // Builder abandoned — or the record vanished (value
+                    // published and evicted again before this waiter
+                    // ran): this waiter becomes the builder.
+                    if let Some(rec) = rec {
+                        rec.waiters -= 1;
+                    }
+                    return WaitOutcome::Build(self.elect(&mut s, key));
                 }
             }
         }
@@ -399,63 +438,76 @@ impl MemoStore {
         T: Any + Send + Sync,
         F: FnOnce() -> (Arc<T>, u64),
     {
-        let mut claim = self.claim(key);
-        loop {
-            match claim {
-                Claim::Hit(value) => {
-                    return value.downcast::<T>().expect("memo value type mismatch")
-                }
-                Claim::Build(ticket) => {
-                    let (value, bytes) = build();
-                    ticket.publish(value.clone(), bytes);
-                    return value;
-                }
-                Claim::Wait => match self.wait(key) {
-                    WaitOutcome::Ready(value) => {
-                        return value.downcast::<T>().expect("memo value type mismatch")
-                    }
-                    WaitOutcome::Build(ticket) => {
-                        claim = Claim::Build(ticket);
-                    }
-                },
-            }
-        }
+        self.try_get_or_build(key, || Ok::<_, Infallible>(build()))
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// [`MemoStore::get_or_build`] for a fallible build. An `Err` from
+    /// `build` is returned to this caller and publishes nothing: the
+    /// dropped ticket elects a waiting caller, which runs its own build
+    /// (and sees its own error) instead of hanging.
+    pub fn try_get_or_build<T, E, F>(&self, key: &MemoKey, build: F) -> Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+        F: FnOnce() -> Result<(Arc<T>, u64), E>,
+    {
+        let ticket = match self.claim(key) {
+            Claim::Hit(value) => return Ok(downcast(value)),
+            Claim::Build(ticket) => ticket,
+            Claim::Wait => match self.wait(key) {
+                WaitOutcome::Ready(value) => return Ok(downcast(value)),
+                WaitOutcome::Build(ticket) => ticket,
+            },
+        };
+        let (value, bytes) = build()?;
+        ticket.publish(value.clone(), bytes);
+        Ok(value)
+    }
+
+    /// Drops a published entry outright (an invalidation, not counted as
+    /// an eviction). Returns whether it was resident. An in-flight build
+    /// of the key is unaffected and still publishes.
+    pub fn remove(&self, key: &MemoKey) -> bool {
+        let taken = self.lock().take(key);
+        taken.is_some()
     }
 
     /// Non-counting lookup for diagnostics and tests: no LRU bump, no
     /// hit/miss counters.
     pub fn peek<T: Any + Send + Sync>(&self, key: &MemoKey) -> Option<Arc<T>> {
         let s = self.lock();
-        s.map
-            .get(key)
-            .map(|e| e.value.clone().downcast::<T>().expect("memo value type"))
+        s.map.get(key).map(|e| downcast(e.value.clone()))
     }
 
     /// Evicts least-recently-used entries until the budget holds,
-    /// skipping pinned keys (live in-flight records). May leave the
-    /// store over budget when everything left is pinned.
-    fn enforce_budget(&self, s: &mut State) {
+    /// skipping pinned keys (live in-flight records), and returns them so
+    /// the caller frees them after unlocking. May leave the store over
+    /// budget when everything left is pinned.
+    fn enforce_budget(&self, s: &mut State) -> Vec<Entry> {
+        let mut evicted = Vec::new();
         if self.max_bytes == 0 {
-            return;
+            return evicted;
         }
-        while s.resident_bytes > self.max_bytes {
+        while s.resident_bytes() > self.max_bytes {
             let victim = s
                 .map
                 .iter()
                 .filter(|(k, _)| !s.inflight.contains_key(k))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone());
-            match victim {
-                Some(key) => {
-                    if let Some(entry) = s.map.remove(&key) {
-                        s.resident_bytes -= entry.bytes;
-                        counters().record_memo_evictions(key.kind, 1);
-                    }
-                }
-                None => break,
-            }
+            let Some(key) = victim else { break };
+            evicted.extend(s.take(&key));
+            s.usage[key.kind as usize].evictions += 1;
+            counters().record_memo_evictions(key.kind, 1);
         }
+        evicted
     }
+}
+
+/// A published value as its concrete type. Each key names one type, so a
+/// mismatch is a caller bug.
+fn downcast<T: Any + Send + Sync>(value: MemoValue) -> Arc<T> {
+    value.downcast::<T>().expect("memo value type mismatch")
 }
 
 /// A shareable memo handle: the store plus the dataset fingerprint every
@@ -480,7 +532,6 @@ impl MemoHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexus_info::kernel::counters;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn key(name: &str) -> MemoKey {
@@ -491,20 +542,51 @@ mod tests {
         store.get_or_build(&key(name), || (Arc::new(v), bytes))
     }
 
+    fn usage(entries: u64, bytes: u64, evictions: u64) -> KindUsage {
+        KindUsage {
+            entries,
+            bytes,
+            evictions,
+        }
+    }
+
     #[test]
     fn get_or_build_roundtrip_and_hit() {
         let store = MemoStore::new(0);
-        let before = counters().snapshot();
         let a = put(&store, "a", 41, 10);
         assert_eq!(*a, 41);
         let again = put(&store, "a", 99, 10); // builder must not run
         assert_eq!(*again, 41);
         assert!(Arc::ptr_eq(&a, &again));
-        let d = counters().snapshot().delta(&before);
-        assert!(d.memo_hits[MemoKind::Contingency as usize] >= 1);
-        assert!(d.memo_inserts[MemoKind::Contingency as usize] >= 1);
+        assert_eq!(store.usage(MemoKind::Contingency), usage(1, 10, 0));
+        assert_eq!(store.usage(MemoKind::Selection), usage(0, 0, 0));
         assert_eq!(store.resident_entries(), 1);
         assert_eq!(store.resident_bytes(), 10);
+    }
+
+    #[test]
+    fn failed_build_publishes_nothing_and_the_next_caller_builds() {
+        let store = MemoStore::new(0);
+        let k = key("a");
+        let failed: Result<Arc<u64>, &str> = store.try_get_or_build(&k, || Err("no"));
+        assert_eq!(failed.unwrap_err(), "no");
+        assert!(store.peek::<u64>(&k).is_none());
+        assert_eq!(store.resident_entries(), 0);
+        let built: Result<Arc<u64>, &str> = store.try_get_or_build(&k, || Ok((Arc::new(5), 8)));
+        assert_eq!(*built.unwrap(), 5);
+        assert_eq!(store.usage(MemoKind::Contingency), usage(1, 8, 0));
+    }
+
+    #[test]
+    fn remove_drops_an_entry_without_counting_an_eviction() {
+        let store = MemoStore::new(0);
+        put(&store, "a", 1, 8);
+        put(&store, "b", 2, 8);
+        assert!(store.remove(&key("a")));
+        assert!(!store.remove(&key("a")), "already gone");
+        assert!(store.peek::<u64>(&key("a")).is_none());
+        assert_eq!(store.usage(MemoKind::Contingency), usage(1, 8, 0));
+        assert_eq!(*put(&store, "a", 3, 8), 3, "a removed key rebuilds");
     }
 
     #[test]
@@ -589,6 +671,7 @@ mod tests {
         );
         assert!(store.peek::<u64>(&key("c")).is_some());
         assert!(store.resident_bytes() <= 150);
+        assert_eq!(store.usage(MemoKind::Contingency), usage(2, 120, 2));
     }
 
     #[test]
@@ -655,7 +738,6 @@ mod tests {
     fn concurrent_get_or_build_runs_builder_once() {
         let store = Arc::new(MemoStore::new(0));
         let builds = Arc::new(AtomicUsize::new(0));
-        let before = counters().snapshot();
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let store = store.clone();
@@ -677,10 +759,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(builds.load(Ordering::SeqCst), 1, "single-flight");
-        // Counters are process-global (other tests may run in parallel),
-        // so only lower-bound them; exactness is the atomic above.
-        let d = counters().snapshot().delta(&before);
-        assert!(d.memo_inserts[MemoKind::CmiTerm as usize] >= 1);
+        assert_eq!(store.usage(MemoKind::CmiTerm), usage(1, 8, 0));
     }
 
     #[test]

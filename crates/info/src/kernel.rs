@@ -54,9 +54,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of distinct [`MemoKind`] values (array dimension of the per-kind
 /// memo counters).
-pub const MEMO_KINDS: usize = 4;
+pub const MEMO_KINDS: usize = 6;
 
-/// What kind of sub-query value a memo entry caches. Doubles as the index
+/// What kind of value a memo entry caches. Doubles as the index
 /// into the per-kind counter arrays of [`KernelCounters`] /
 /// [`KernelSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,6 +70,12 @@ pub enum MemoKind {
     CmiTerm = 2,
     /// A KG extraction column (row→entity codes + candidates).
     Extraction = 3,
+    /// A finished explanation's encoded reply bytes (the server's result
+    /// cache).
+    Result = 4,
+    /// A materialized dataset (table, KG and extraction handles) of the
+    /// server's registry.
+    Dataset = 5,
 }
 
 impl MemoKind {
@@ -79,6 +85,8 @@ impl MemoKind {
         MemoKind::Selection,
         MemoKind::CmiTerm,
         MemoKind::Extraction,
+        MemoKind::Result,
+        MemoKind::Dataset,
     ];
 
     /// A stable lowercase label (used in dotted metric names).
@@ -88,6 +96,8 @@ impl MemoKind {
             MemoKind::Selection => "selection",
             MemoKind::CmiTerm => "cmi_term",
             MemoKind::Extraction => "extraction",
+            MemoKind::Result => "result",
+            MemoKind::Dataset => "dataset",
         }
     }
 }
@@ -164,15 +174,10 @@ pub struct KernelCounters {
     memo_coalesced_waits: AtomicU64,
 }
 
-/// A four-slot array of zeroed atomics (const-initializable; used only to
+/// A per-kind array of zeroed atomics (const-initializable; used only to
 /// build the static below, never shared between fields).
 #[allow(clippy::declare_interior_mutable_const)]
-const MEMO_ZEROS: [AtomicU64; MEMO_KINDS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+const MEMO_ZEROS: [AtomicU64; MEMO_KINDS] = [const { AtomicU64::new(0) }; MEMO_KINDS];
 
 /// The global counter instance.
 static COUNTERS: KernelCounters = KernelCounters {
@@ -306,33 +311,23 @@ impl KernelCounters {
             builds_w32: self.builds_w32.load(Ordering::Relaxed),
             builds_w64: self.builds_w64.load(Ordering::Relaxed),
             builds_w128: self.builds_w128.load(Ordering::Relaxed),
-            memo_hits: load4(&self.memo_hits),
-            memo_misses: load4(&self.memo_misses),
-            memo_inserts: load4(&self.memo_inserts),
-            memo_evictions: load4(&self.memo_evictions),
+            memo_hits: load_kinds(&self.memo_hits),
+            memo_misses: load_kinds(&self.memo_misses),
+            memo_inserts: load_kinds(&self.memo_inserts),
+            memo_evictions: load_kinds(&self.memo_evictions),
             memo_coalesced_waits: self.memo_coalesced_waits.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Relaxed load of a per-kind counter array.
-fn load4(a: &[AtomicU64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
-    [
-        a[0].load(Ordering::Relaxed),
-        a[1].load(Ordering::Relaxed),
-        a[2].load(Ordering::Relaxed),
-        a[3].load(Ordering::Relaxed),
-    ]
+fn load_kinds(a: &[AtomicU64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
+    std::array::from_fn(|i| a[i].load(Ordering::Relaxed))
 }
 
 /// Element-wise saturating subtraction of per-kind counter arrays.
-fn sub4(a: [u64; MEMO_KINDS], b: [u64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
-    [
-        a[0].saturating_sub(b[0]),
-        a[1].saturating_sub(b[1]),
-        a[2].saturating_sub(b[2]),
-        a[3].saturating_sub(b[3]),
-    ]
+fn sub_kinds(a: [u64; MEMO_KINDS], b: [u64; MEMO_KINDS]) -> [u64; MEMO_KINDS] {
+    std::array::from_fn(|i| a[i].saturating_sub(b[i]))
 }
 
 /// A point-in-time copy of [`KernelCounters`].
@@ -428,10 +423,10 @@ impl KernelSnapshot {
             builds_w32: self.builds_w32.saturating_sub(earlier.builds_w32),
             builds_w64: self.builds_w64.saturating_sub(earlier.builds_w64),
             builds_w128: self.builds_w128.saturating_sub(earlier.builds_w128),
-            memo_hits: sub4(self.memo_hits, earlier.memo_hits),
-            memo_misses: sub4(self.memo_misses, earlier.memo_misses),
-            memo_inserts: sub4(self.memo_inserts, earlier.memo_inserts),
-            memo_evictions: sub4(self.memo_evictions, earlier.memo_evictions),
+            memo_hits: sub_kinds(self.memo_hits, earlier.memo_hits),
+            memo_misses: sub_kinds(self.memo_misses, earlier.memo_misses),
+            memo_inserts: sub_kinds(self.memo_inserts, earlier.memo_inserts),
+            memo_evictions: sub_kinds(self.memo_evictions, earlier.memo_evictions),
             memo_coalesced_waits: self
                 .memo_coalesced_waits
                 .saturating_sub(earlier.memo_coalesced_waits),

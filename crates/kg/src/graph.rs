@@ -151,6 +151,35 @@ impl KnowledgeGraph {
             .collect()
     }
 
+    /// Approximate heap footprint in bytes: entity names, aliases and
+    /// classes, one map slot per property, entity-list links and string
+    /// literals, and the interned property names.
+    pub fn approx_bytes(&self) -> u64 {
+        let slot = std::mem::size_of::<(PropId, PropertyValue)>() + 8;
+        let entities: usize = self
+            .entities
+            .iter()
+            .map(|e| {
+                e.name.len() + e.class.len() + e.aliases.iter().map(|a| a.len() + 24).sum::<usize>()
+            })
+            .sum();
+        let properties: usize = self
+            .properties
+            .iter()
+            .flat_map(|props| props.values())
+            .map(|v| {
+                slot + match v {
+                    PropertyValue::EntityList(ids) => ids.len() * 4,
+                    PropertyValue::Literal(Value::Str(s)) => s.len(),
+                    _ => 0,
+                }
+            })
+            .sum();
+        let names: usize = self.prop_names.iter().map(|n| 2 * n.len() + 56).sum();
+        let per_entity = std::mem::size_of::<Entity>() + 48;
+        (entities + properties + names + self.entities.len() * per_entity) as u64
+    }
+
     /// Content fingerprint of the graph: entities (names, aliases, classes)
     /// and every property triple, hashed in a canonical order so the digest
     /// is independent of property-map iteration order. Used by the resident

@@ -19,9 +19,10 @@
 //! * [`Server`] — loads datasets once, mines KG extraction artifacts once
 //!   ([`nexus_core::extract_column`]), schedules request pipelines (whose
 //!   candidate scoring runs on the `nexus-runtime` scoped pool) behind a
-//!   concurrency gate, and fronts them with a bounded LRU cache keyed by
-//!   *(canonical query signature, dataset fingerprint, options
-//!   fingerprint)*. Cache hits echo stored bytes verbatim: **byte-identical**
+//!   concurrency gate, and keeps finished explanations in its one
+//!   byte-budgeted store keyed by *(dataset fingerprint, options
+//!   fingerprint, canonical query signature)*. Cache hits echo stored
+//!   bytes verbatim: **byte-identical**
 //!   to a cold run, with `scored_tasks == 0` because the pipeline never
 //!   executes.
 //! * [`Client`] / [`Session`] — blocking clients over Unix or TCP
@@ -72,7 +73,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod faults;
 pub mod net;
@@ -80,7 +80,6 @@ mod registry;
 pub mod server;
 pub mod wire;
 
-pub use cache::LruCache;
 pub use client::{Client, ClientError, ExplainCall, ExplainResponse, RetryPolicy, Session, Ticket};
 pub use faults::{pipe, Fault, FaultPlan, FaultyStream, PipeStream};
 pub use net::{

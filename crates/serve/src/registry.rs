@@ -1,46 +1,43 @@
-//! The multi-dataset registry: named datasets, lazy materialization, and
-//! a byte-budgeted LRU over resident artifacts.
+//! The multi-dataset registry: named datasets, materialized lazily into
+//! the server's [`MemoStore`].
 //!
 //! A [`DatasetRegistry`] maps names to [`DatasetSpec`]s — *how to obtain*
 //! a dataset (an in-memory table + KG, or paths to an NXCOL store file
 //! and a KG TSV). Registration is cheap: artifacts (the table, its
 //! knowledge graph, and the per-column KG extractions mined by
-//! [`nexus_core::extract_column`]) are materialized lazily by
+//! [`nexus_core::extract_column`]) are materialized by
 //! [`DatasetRegistry::ensure_resident`] on the first request that needs
-//! them, and are dropped again either explicitly
-//! ([`DatasetRegistry::evict`]) or by the LRU byte budget.
+//! them, single-flight, and published as one [`MemoKind::Dataset`] entry
+//! keyed by (name, registration generation). The generation is bumped on
+//! every [`DatasetRegistry::register`], so a replaced registration can
+//! never serve its predecessor's artifacts. An entry leaves the store by
+//! an explicit [`DatasetRegistry::evict`], by re-registration, or by the
+//! store's byte budget, which weighs datasets against every other
+//! memoized value and never drops an entry while its load is in flight.
 //!
-//! The budget bounds the NXCOL-encoded size of all resident tables
-//! (`max_resident_bytes`; 0 = unbounded). When a materialization pushes
-//! the gauge over budget, least-recently-used resident datasets are
-//! dropped — never the one just requested — and each drop increments the
-//! `dataset_evictions` counter. Every lifecycle transition moves a
+//! A dataset entry is charged the approximate in-memory size of its table
+//! and KG ([`Table::approx_bytes`], [`KnowledgeGraph::approx_bytes`]).
+//! Each column's extraction is a separate [`MemoKind::Extraction`] entry
+//! keyed by (table fingerprint × KG fingerprint, options fingerprint,
+//! column), so a re-materialization after an eviction hits the memo
+//! instead of re-mining the KG. Every lifecycle transition moves a
 //! counter ([`DatasetRegistry::loads`], [`DatasetRegistry::evictions`],
-//! [`DatasetRegistry::extraction_builds`]), so tests assert warm-load and
-//! eviction behaviour on counters rather than wall-clock timing. In
-//! particular `extraction_builds` staying flat across a request is the
-//! proof that the KG mining was skipped, not merely fast.
-//!
-//! When the server's sub-query [`MemoStore`] is threaded into
-//! [`DatasetRegistry::ensure_resident`], each column's extraction is
-//! additionally memoized under [`MemoKind::Extraction`] keyed by (table
-//! fingerprint × KG fingerprint, options fingerprint, column). A
-//! re-materialization after an LRU eviction then hits the memo instead of
-//! re-mining the KG — `extraction_builds` stays flat on a memo hit, so
-//! its "mining was skipped" semantics survive memoization; only genuine
-//! [`extract_column`] runs move it.
+//! [`DatasetRegistry::extraction_builds`], and the store's per-kind
+//! usage), so tests assert warm-load and eviction behaviour on counters
+//! rather than wall-clock timing. In particular `extraction_builds`
+//! staying flat across a request is the proof that the KG mining was
+//! skipped, not merely fast: only genuine [`extract_column`] runs move it.
 //!
 //! Evicting a [`DatasetSource::Memory`] dataset drops its extraction
-//! artifacts but not the backing table (the spec keeps it so the dataset
+//! handles but not the backing table (the spec keeps it so the dataset
 //! can re-materialize); evicting a [`DatasetSource::Store`] dataset frees
 //! everything — the next request re-reads the NXCOL file.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use nexus_core::memo::{Claim, WaitOutcome};
 use nexus_core::{
     extract_column, ColumnExtraction, CoreError, MemoKey, MemoKind, MemoStore, NexusOptions,
 };
@@ -113,108 +110,128 @@ pub(crate) struct DatasetState {
     /// dataset component of every cache key, identical whether the bytes
     /// arrived in memory or from an NXCOL file.
     pub fingerprint: u64,
-    /// NXCOL-encoded size of the table: the unit of the LRU byte budget.
-    pub store_bytes: u64,
+    /// What this dataset's store entry is charged: the approximate
+    /// in-memory size of its table and KG (the extractions are charged
+    /// as entries of their own).
+    pub charge: u64,
 }
 
 struct Entry {
     spec: Arc<DatasetSpec>,
-    resident: Option<Arc<DatasetState>>,
-    /// LRU stamp from the registry clock; larger = more recently used.
-    last_used: u64,
+    /// The registration generation: the `set_fp` of this registration's
+    /// [`MemoKind::Dataset`] key.
+    generation: u64,
     /// Fingerprint of the last materialization (0 = never loaded), so the
     /// listing stays informative across evictions.
     last_fingerprint: u64,
 }
 
-/// Named datasets with lazy materialization and a byte-budgeted LRU (see
+/// The store key of one registration's materialized artifacts.
+fn dataset_key(name: &str, generation: u64) -> MemoKey {
+    MemoKey::new(MemoKind::Dataset, 0, generation, 0, name)
+}
+
+/// The store key of one column's extraction. Extraction depends only on
+/// the table column, the KG, and the extraction options — exactly what
+/// this key hashes. The dataset fingerprint also covers the column
+/// *list*, which the per-column artifact must not depend on.
+fn extraction_key(table_fp: u64, kg_fp: u64, options: &NexusOptions, column: &str) -> MemoKey {
+    let mut h = nexus_table::Fnv64::new();
+    h.write_u64(table_fp);
+    h.write_u64(kg_fp);
+    MemoKey::new(
+        MemoKind::Extraction,
+        h.finish(),
+        options.fingerprint(),
+        0,
+        column,
+    )
+}
+
+/// Named datasets whose artifacts live in the shared [`MemoStore`] (see
 /// the module docs).
 pub(crate) struct DatasetRegistry {
     entries: Mutex<HashMap<String, Entry>>,
-    /// Budget over the NXCOL-encoded bytes of resident tables; 0 =
-    /// unbounded.
-    max_resident_bytes: u64,
-    /// Logical LRU clock — counter-driven, never wall-clock.
-    clock: AtomicU64,
+    memo: Arc<MemoStore>,
+    generation: AtomicU64,
     loads: AtomicU64,
     evictions: AtomicU64,
     extraction_builds: AtomicU64,
 }
 
 impl DatasetRegistry {
-    pub(crate) fn new(max_resident_bytes: u64) -> DatasetRegistry {
+    pub(crate) fn new(memo: Arc<MemoStore>) -> DatasetRegistry {
         DatasetRegistry {
             entries: Mutex::new(HashMap::new()),
-            max_resident_bytes,
-            clock: AtomicU64::new(0),
+            memo,
+            generation: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             extraction_builds: AtomicU64::new(0),
         }
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::SeqCst) + 1
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Entry>> {
+        self.entries.lock().expect("registry poisoned")
+    }
+
+    /// The resident artifacts of a registration, if any (no LRU bump, no
+    /// counters).
+    fn resident(&self, name: &str, entry: &Entry) -> Option<Arc<DatasetState>> {
+        self.memo.peek(&dataset_key(name, entry.generation))
     }
 
     /// Registers (or replaces) a dataset without materializing anything.
     /// Replacing a resident dataset drops its artifacts (counted as an
     /// eviction: the resident set shrank).
     pub(crate) fn register(&self, name: String, spec: DatasetSpec) {
-        let stamp = self.tick();
-        let mut entries = self.entries.lock().expect("registry poisoned");
-        let old = entries.insert(
-            name,
-            Entry {
-                spec: Arc::new(spec),
-                resident: None,
-                last_used: stamp,
-                last_fingerprint: 0,
-            },
-        );
-        if old.and_then(|e| e.resident).is_some() {
-            self.evictions.fetch_add(1, Ordering::SeqCst);
+        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut entries = self.lock();
+        let entry = Entry {
+            spec: Arc::new(spec),
+            generation,
+            last_fingerprint: 0,
+        };
+        if let Some(old) = entries.insert(name.clone(), entry) {
+            if self.memo.remove(&dataset_key(&name, old.generation)) {
+                self.evictions.fetch_add(1, Ordering::SeqCst);
+            }
         }
     }
 
     /// Returns the materialized artifacts for `name`, loading them if the
-    /// dataset is registered but not resident. A warm call moves no
-    /// counter except the LRU clock. When `memo` is given, per-column
-    /// extractions are memoized through it (see the module docs).
+    /// dataset is registered but not resident. Concurrent first touches
+    /// share one load. A warm call moves no registry counter.
     pub(crate) fn ensure_resident(
         &self,
         name: &str,
         options: &NexusOptions,
-        memo: Option<&MemoStore>,
     ) -> Result<Arc<DatasetState>, RegistryError> {
-        let spec = {
-            let mut entries = self.entries.lock().expect("registry poisoned");
-            let Some(entry) = entries.get_mut(name) else {
+        let (spec, key) = {
+            let entries = self.lock();
+            let Some(entry) = entries.get(name) else {
                 return Err(RegistryError::Unknown(name.to_string()));
             };
-            if let Some(state) = &entry.resident {
-                entry.last_used = self.tick();
-                return Ok(Arc::clone(state));
-            }
-            Arc::clone(&entry.spec)
+            (Arc::clone(&entry.spec), dataset_key(name, entry.generation))
         };
+        // Loads and extraction mining run outside the registry lock, so
+        // other datasets' requests do not queue behind them.
+        let state = self.memo.try_get_or_build(&key, || {
+            let state = self.materialize(&spec, options)?;
+            self.loads.fetch_add(1, Ordering::SeqCst);
+            let charge = state.charge;
+            Ok::<_, RegistryError>((Arc::new(state), charge))
+        })?;
 
-        // Materialize outside the lock: loads and extraction mining are
-        // the slow path, and other datasets' requests must not queue
-        // behind them.
-        let state = Arc::new(self.materialize(&spec, options, memo)?);
-        self.loads.fetch_add(1, Ordering::SeqCst);
-
-        let stamp = self.tick();
-        let mut entries = self.entries.lock().expect("registry poisoned");
-        if let Some(entry) = entries.get_mut(name) {
-            // Install only if the registration was not replaced while we
-            // loaded; a stale spec's artifacts still serve this request.
-            if Arc::ptr_eq(&entry.spec, &spec) {
-                entry.resident = Some(Arc::clone(&state));
-                entry.last_used = stamp;
+        let mut entries = self.lock();
+        match entries.get_mut(name) {
+            Some(entry) if entry.generation == key.set_fp => {
                 entry.last_fingerprint = state.fingerprint;
-                self.enforce_budget(&mut entries, name);
+            }
+            // Replaced while loading: the stale artifacts still serve this
+            // request but must not stay resident.
+            _ => {
+                self.memo.remove(&key);
             }
         }
         Ok(state)
@@ -224,7 +241,6 @@ impl DatasetRegistry {
         &self,
         spec: &DatasetSpec,
         options: &NexusOptions,
-        memo: Option<&MemoStore>,
     ) -> Result<DatasetState, RegistryError> {
         let (table, kg) = match &spec.source {
             DatasetSource::Memory { table, kg } => (Arc::clone(table), Arc::clone(kg)),
@@ -242,142 +258,52 @@ impl DatasetRegistry {
                 (Arc::new(table), Arc::new(kg))
             }
         };
-        // Extraction depends only on the table column, the KG, and the
-        // extraction options — exactly what this key hashes. The per-spec
-        // dataset fingerprint below also covers the column *list*, which
-        // the per-column artifact must not depend on.
-        let memo_scope = memo.map(|store| {
-            let mut h = nexus_table::Fnv64::new();
-            h.write_u64(table.fingerprint());
-            h.write_u64(kg.fingerprint());
-            (store, h.finish())
-        });
-        let mut extractions = Vec::with_capacity(spec.extraction_columns.len());
-        for column in &spec.extraction_columns {
-            extractions.push(match &memo_scope {
-                Some((store, dataset_fp)) => {
-                    let key = MemoKey::new(
-                        MemoKind::Extraction,
-                        *dataset_fp,
-                        options.fingerprint(),
-                        0,
-                        column.as_str(),
-                    );
-                    self.memoized_extraction(store, &key, &table, &kg, column, options)?
-                }
-                None => {
-                    let ext = Arc::new(
-                        extract_column(&table, &kg, column, options)
-                            .map_err(RegistryError::Core)?,
-                    );
+        let (table_fp, kg_fp) = (table.fingerprint(), kg.fingerprint());
+        let extractions = spec
+            .extraction_columns
+            .iter()
+            .map(|column| {
+                let key = extraction_key(table_fp, kg_fp, options, column);
+                // A hit shares the artifact without touching
+                // `extraction_builds`; an extraction error publishes
+                // nothing, so a waiter is elected and sees it too.
+                self.memo.try_get_or_build(&key, || {
+                    let ext = extract_column(&table, &kg, column, options)
+                        .map_err(RegistryError::Core)?;
                     self.extraction_builds.fetch_add(1, Ordering::SeqCst);
-                    ext
-                }
-            });
-        }
+                    let bytes = extraction_approx_bytes(&ext);
+                    Ok((Arc::new(ext), bytes))
+                })
+            })
+            .collect::<Result<Vec<_>, RegistryError>>()?;
         let fingerprint = {
             let mut h = nexus_table::Fnv64::new();
-            h.write_u64(table.fingerprint());
-            h.write_u64(kg.fingerprint());
+            h.write_u64(table_fp);
+            h.write_u64(kg_fp);
             h.write_u64(spec.extraction_columns.len() as u64);
             for c in &spec.extraction_columns {
                 h.write_str(c);
             }
             h.finish()
         };
-        let store_bytes = nexus_store::encode_table(&table).len() as u64;
+        let charge = table.approx_bytes() + kg.approx_bytes();
         Ok(DatasetState {
             table,
             kg,
             extractions,
             fingerprint,
-            store_bytes,
+            charge,
         })
-    }
-
-    /// Single-flight memoized [`extract_column`]: a hit returns the
-    /// shared artifact without touching `extraction_builds`; a build
-    /// mines the column, bumps the counter, and publishes. An extraction
-    /// error drops the ticket, so a concurrent waiter is elected builder
-    /// and observes the error itself rather than hanging.
-    fn memoized_extraction(
-        &self,
-        store: &MemoStore,
-        key: &MemoKey,
-        table: &Table,
-        kg: &KnowledgeGraph,
-        column: &str,
-        options: &NexusOptions,
-    ) -> Result<Arc<ColumnExtraction>, RegistryError> {
-        let mut claim = store.claim(key);
-        loop {
-            match claim {
-                Claim::Hit(value) => {
-                    return Ok(value
-                        .downcast::<ColumnExtraction>()
-                        .expect("extraction memo entries hold ColumnExtraction"));
-                }
-                Claim::Build(ticket) => {
-                    let ext = Arc::new(
-                        extract_column(table, kg, column, options).map_err(RegistryError::Core)?,
-                    );
-                    self.extraction_builds.fetch_add(1, Ordering::SeqCst);
-                    let bytes = extraction_approx_bytes(&ext);
-                    ticket.publish(ext.clone(), bytes);
-                    return Ok(ext);
-                }
-                Claim::Wait => match store.wait(key) {
-                    WaitOutcome::Ready(value) => {
-                        return Ok(value
-                            .downcast::<ColumnExtraction>()
-                            .expect("extraction memo entries hold ColumnExtraction"));
-                    }
-                    WaitOutcome::Build(ticket) => claim = Claim::Build(ticket),
-                },
-            }
-        }
-    }
-
-    /// Drops least-recently-used resident datasets (never `keep`) until
-    /// the resident byte gauge fits the budget.
-    fn enforce_budget(&self, entries: &mut HashMap<String, Entry>, keep: &str) {
-        if self.max_resident_bytes == 0 {
-            return;
-        }
-        loop {
-            let total: u64 = entries
-                .values()
-                .filter_map(|e| e.resident.as_ref())
-                .map(|s| s.store_bytes)
-                .sum();
-            if total <= self.max_resident_bytes {
-                return;
-            }
-            let victim = entries
-                .iter()
-                .filter(|(name, e)| e.resident.is_some() && name.as_str() != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(name, _)| name.clone());
-            let Some(victim) = victim else {
-                // Only `keep` remains resident; an over-budget single
-                // dataset still serves (the budget bounds the *set*).
-                return;
-            };
-            if let Some(entry) = entries.get_mut(&victim) {
-                entry.resident = None;
-                self.evictions.fetch_add(1, Ordering::SeqCst);
-            }
-        }
     }
 
     /// Drops a dataset's resident artifacts, keeping the registration.
     /// Returns whether artifacts were actually resident.
     pub(crate) fn evict(&self, name: &str) -> Result<bool, RegistryError> {
-        let mut entries = self.entries.lock().expect("registry poisoned");
-        let Some(entry) = entries.get_mut(name) else {
+        let entries = self.lock();
+        let Some(entry) = entries.get(name) else {
             return Err(RegistryError::Unknown(name.to_string()));
         };
-        let was_resident = entry.resident.take().is_some();
+        let was_resident = self.memo.remove(&dataset_key(name, entry.generation));
         if was_resident {
             self.evictions.fetch_add(1, Ordering::SeqCst);
         }
@@ -386,23 +312,22 @@ impl DatasetRegistry {
 
     /// Registered names, sorted.
     pub(crate) fn names(&self) -> Vec<String> {
-        let entries = self.entries.lock().expect("registry poisoned");
-        let mut names: Vec<String> = entries.keys().cloned().collect();
+        let mut names: Vec<String> = self.lock().keys().cloned().collect();
         names.sort();
         names
     }
 
     /// The registry listing, sorted by name.
     pub(crate) fn list(&self) -> Vec<DatasetEntryWire> {
-        let entries = self.entries.lock().expect("registry poisoned");
+        let entries = self.lock();
         let mut rows: Vec<DatasetEntryWire> = entries
             .iter()
-            .map(|(name, e)| match &e.resident {
+            .map(|(name, e)| match self.resident(name, e) {
                 Some(s) => DatasetEntryWire {
                     name: name.clone(),
                     resident: true,
                     rows: s.table.n_rows() as u64,
-                    store_bytes: s.store_bytes,
+                    store_bytes: s.charge,
                     fingerprint: s.fingerprint,
                 },
                 None => DatasetEntryWire {
@@ -420,38 +345,21 @@ impl DatasetRegistry {
 
     /// Extraction columns of a registered dataset.
     pub(crate) fn extraction_columns(&self, name: &str) -> Option<Vec<String>> {
-        let entries = self.entries.lock().expect("registry poisoned");
-        entries.get(name).map(|e| e.spec.extraction_columns.clone())
+        self.lock()
+            .get(name)
+            .map(|e| e.spec.extraction_columns.clone())
     }
 
     /// Entity count of a dataset's KG, if its artifacts are resident.
     pub(crate) fn kg_entities(&self, name: &str) -> Option<usize> {
-        let entries = self.entries.lock().expect("registry poisoned");
-        entries
-            .get(name)
-            .and_then(|e| e.resident.as_ref())
-            .map(|s| s.kg.n_entities())
+        let entries = self.lock();
+        let entry = entries.get(name)?;
+        self.resident(name, entry).map(|s| s.kg.n_entities())
     }
 
     /// Registered datasets (resident or not).
     pub(crate) fn registered(&self) -> u64 {
-        self.entries.lock().expect("registry poisoned").len() as u64
-    }
-
-    /// Datasets whose artifacts are currently materialized.
-    pub(crate) fn resident_count(&self) -> u64 {
-        let entries = self.entries.lock().expect("registry poisoned");
-        entries.values().filter(|e| e.resident.is_some()).count() as u64
-    }
-
-    /// NXCOL-encoded bytes of all resident tables — the budgeted gauge.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        let entries = self.entries.lock().expect("registry poisoned");
-        entries
-            .values()
-            .filter_map(|e| e.resident.as_ref())
-            .map(|s| s.store_bytes)
-            .sum()
+        self.lock().len() as u64
     }
 
     /// Cumulative materializations (cold loads + reloads after eviction).
@@ -459,7 +367,8 @@ impl DatasetRegistry {
         self.loads.load(Ordering::SeqCst)
     }
 
-    /// Cumulative evictions (budget, explicit, and replacement drops).
+    /// Cumulative explicit and replacement evictions (budget evictions
+    /// are counted by the store, per kind).
     pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::SeqCst)
     }
@@ -473,10 +382,10 @@ impl DatasetRegistry {
     /// changes exactly when the resident set (or a member's content)
     /// does; 0 when nothing is resident.
     pub(crate) fn combined_fingerprint(&self) -> u64 {
-        let entries = self.entries.lock().expect("registry poisoned");
+        let entries = self.lock();
         let mut resident: Vec<(&String, u64)> = entries
             .iter()
-            .filter_map(|(name, e)| e.resident.as_ref().map(|s| (name, s.fingerprint)))
+            .filter_map(|(name, e)| self.resident(name, e).map(|s| (name, s.fingerprint)))
             .collect();
         if resident.is_empty() {
             return 0;
@@ -534,20 +443,30 @@ mod tests {
         }
     }
 
+    /// A registry over a fresh store with the given budget.
+    fn registry(max_bytes: u64) -> (DatasetRegistry, Arc<MemoStore>) {
+        let memo = Arc::new(MemoStore::new(max_bytes));
+        (DatasetRegistry::new(Arc::clone(&memo)), memo)
+    }
+
     #[test]
     fn registration_is_lazy_and_loads_once() {
-        let reg = DatasetRegistry::new(0);
+        let (reg, memo) = registry(0);
         reg.register("a".into(), memory_spec(10));
         assert_eq!(
-            (reg.registered(), reg.resident_count(), reg.loads()),
+            (
+                reg.registered(),
+                memo.usage(MemoKind::Dataset).entries,
+                reg.loads()
+            ),
             (1, 0, 0)
         );
         assert_eq!(reg.combined_fingerprint(), 0);
 
         let opts = NexusOptions::default();
-        let first = reg.ensure_resident("a", &opts, None).unwrap();
-        assert_eq!((reg.resident_count(), reg.loads()), (1, 1));
-        let warm = reg.ensure_resident("a", &opts, None).unwrap();
+        let first = reg.ensure_resident("a", &opts).unwrap();
+        assert_eq!((memo.usage(MemoKind::Dataset).entries, reg.loads()), (1, 1));
+        let warm = reg.ensure_resident("a", &opts).unwrap();
         assert!(
             Arc::ptr_eq(&first, &warm),
             "warm load returns the same artifacts"
@@ -557,33 +476,48 @@ mod tests {
     }
 
     #[test]
+    fn reregistration_drops_the_old_artifacts() {
+        let (reg, memo) = registry(0);
+        let opts = NexusOptions::default();
+        reg.register("a".into(), memory_spec(10));
+        let old = reg.ensure_resident("a", &opts).unwrap();
+        reg.register("a".into(), memory_spec(20));
+        assert_eq!(reg.evictions(), 1, "replacing a resident dataset evicts it");
+        assert_eq!(memo.usage(MemoKind::Dataset).entries, 0);
+        let new = reg.ensure_resident("a", &opts).unwrap();
+        assert_eq!((old.table.n_rows(), new.table.n_rows()), (10, 20));
+        assert_eq!(reg.loads(), 2);
+    }
+
+    #[test]
     fn byte_budget_evicts_least_recently_used() {
         let opts = NexusOptions::default();
-        let probe = DatasetRegistry::new(0);
+        let (probe, _) = registry(0);
         probe.register("p".into(), memory_spec(64));
-        let one = probe.ensure_resident("p", &opts, None).unwrap().store_bytes;
+        let one = probe.ensure_resident("p", &opts).unwrap().charge;
 
         // Budget fits one dataset but not two.
-        let reg = DatasetRegistry::new(one + one / 2);
+        let (reg, memo) = registry(one + one / 2);
         reg.register("a".into(), memory_spec(64));
         reg.register("b".into(), memory_spec(64));
-        reg.ensure_resident("a", &opts, None).unwrap();
-        reg.ensure_resident("b", &opts, None).unwrap();
-        assert_eq!(
-            (reg.resident_count(), reg.evictions()),
-            (1, 1),
-            "a evicted for b"
-        );
-        assert_eq!(reg.resident_bytes(), one);
+        reg.ensure_resident("a", &opts).unwrap();
+        reg.ensure_resident("b", &opts).unwrap();
+        let usage = memo.usage(MemoKind::Dataset);
+        assert_eq!((usage.entries, usage.evictions), (1, 1), "a evicted for b");
+        assert_eq!(usage.bytes, one);
         assert!(reg.kg_entities("a").is_none(), "a is no longer resident");
         assert!(reg.kg_entities("b").is_some());
 
         // Re-requesting the victim re-materializes (and evicts b).
-        reg.ensure_resident("a", &opts, None).unwrap();
-        assert_eq!((reg.loads(), reg.evictions()), (3, 2));
+        reg.ensure_resident("a", &opts).unwrap();
+        assert_eq!(
+            (reg.loads(), memo.usage(MemoKind::Dataset).evictions),
+            (3, 2)
+        );
         let listed = reg.list();
         assert_eq!(listed.len(), 2);
         assert!(listed[0].resident && listed[0].name == "a");
+        assert_eq!(listed[0].store_bytes, one);
         assert!(!listed[1].resident && listed[1].name == "b");
         assert_ne!(
             listed[1].fingerprint, 0,
@@ -607,17 +541,16 @@ mod tests {
             },
             extraction_columns: vec!["x".into()],
         };
-        let memo = MemoStore::new(0);
         let opts = NexusOptions::default();
-        let reg = DatasetRegistry::new(0);
+        let (reg, memo) = registry(0);
         reg.register("d".into(), spec());
 
-        let cold = reg.ensure_resident("d", &opts, Some(&memo)).unwrap();
+        let cold = reg.ensure_resident("d", &opts).unwrap();
         assert_eq!(reg.extraction_builds(), 1);
         let mined = Arc::clone(&cold.extractions[0]);
 
         assert!(reg.evict("d").unwrap());
-        let warm = reg.ensure_resident("d", &opts, Some(&memo)).unwrap();
+        let warm = reg.ensure_resident("d", &opts).unwrap();
         assert_eq!(reg.loads(), 2, "eviction forces a re-materialization");
         assert_eq!(
             reg.extraction_builds(),
@@ -629,17 +562,21 @@ mod tests {
             "the memoized artifact is shared, not recomputed"
         );
 
-        // Without the memo the same eviction forces a genuine rebuild.
+        // Once the extraction entry is gone too, the same eviction forces
+        // a genuine rebuild.
+        let kg_fp = KnowledgeGraph::new().fingerprint();
+        let extraction = extraction_key(table.fingerprint(), kg_fp, &opts, "x");
+        assert!(memo.remove(&extraction));
         assert!(reg.evict("d").unwrap());
-        reg.ensure_resident("d", &opts, None).unwrap();
+        reg.ensure_resident("d", &opts).unwrap();
         assert_eq!(reg.extraction_builds(), 2);
     }
 
     #[test]
     fn unknown_names_are_typed() {
-        let reg = DatasetRegistry::new(0);
+        let (reg, _) = registry(0);
         assert!(matches!(
-            reg.ensure_resident("ghost", &NexusOptions::default(), None),
+            reg.ensure_resident("ghost", &NexusOptions::default()),
             Err(RegistryError::Unknown(_))
         ));
         assert!(matches!(reg.evict("ghost"), Err(RegistryError::Unknown(_))));
@@ -647,7 +584,7 @@ mod tests {
 
     #[test]
     fn store_load_failures_are_typed() {
-        let reg = DatasetRegistry::new(0);
+        let (reg, memo) = registry(0);
         reg.register(
             "bad".into(),
             DatasetSpec {
@@ -659,9 +596,14 @@ mod tests {
             },
         );
         assert!(matches!(
-            reg.ensure_resident("bad", &NexusOptions::default(), None),
+            reg.ensure_resident("bad", &NexusOptions::default()),
             Err(RegistryError::Load(_))
         ));
         assert_eq!(reg.loads(), 0, "a failed load is not a load");
+        assert_eq!(
+            memo.resident_entries(),
+            0,
+            "a failed load publishes nothing"
+        );
     }
 }

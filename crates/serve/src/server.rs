@@ -3,8 +3,7 @@
 //! A [`Server`] hosts a registry of named datasets (table + knowledge
 //! graph + extraction columns) — handed over in memory
 //! ([`Server::add_dataset`]) or backed by NXCOL store files
-//! ([`Server::add_dataset_from_store`], lazily materialized, LRU-evicted
-//! under [`ServerOptions::max_resident_bytes`]) — mines each extraction
+//! ([`Server::add_dataset_from_store`], lazily materialized) — mines each extraction
 //! column's KG candidates once per materialization
 //! ([`nexus_core::extract_column`]), and then answers NEXUSRPC `Explain`
 //! requests for the lifetime of the process:
@@ -13,11 +12,15 @@
 //!   [`Nexus::run_controlled`] over the resident extractions
 //!   ([`ExplainRequest::extractions`]), whose candidate scoring executes
 //!   on the `nexus-runtime` scoped pool;
-//! * a bounded [`LruCache`] keyed by (canonical query signature, dataset
-//!   fingerprint, options fingerprint) stores the encoded deterministic
-//!   explanation bytes — a hit echoes the stored bytes verbatim, so hot
-//!   replies are **byte-identical** to cold ones and skip candidate
-//!   scoring entirely (`scored_tasks == 0` in the reply stats);
+//! * one [`MemoStore`], bounded by [`ServerOptions::max_resident_bytes`],
+//!   holds everything kept between requests: the materialized datasets,
+//!   their KG extractions, the sub-query units, and the encoded
+//!   deterministic explanation bytes keyed by (dataset fingerprint,
+//!   options fingerprint, canonical query signature). A result hit echoes
+//!   the stored bytes verbatim, so hot replies are **byte-identical** to
+//!   cold ones and skip candidate scoring entirely (`scored_tasks == 0`
+//!   in the reply stats); an identical request arriving while one is in
+//!   flight waits for its bytes instead of running the pipeline again;
 //! * a [`nexus_runtime::Semaphore`] bounds concurrent pipeline runs; time
 //!   spent waiting for a slot is reported as `queue_nanos`.
 //!
@@ -78,9 +81,10 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use nexus_core::memo::{Claim, MemoValue, WaitOutcome};
 use nexus_core::{
-    ColumnExtraction, CoreError, ExplainRequest, Explanation, MemoHandle, MemoKind, MemoStore,
-    Nexus, NexusOptions, ProgressEvent, RunControl,
+    ColumnExtraction, CoreError, ExplainRequest, Explanation, MemoHandle, MemoKey, MemoKind,
+    MemoStore, Nexus, NexusOptions, ProgressEvent, RunControl,
 };
 use nexus_kg::KnowledgeGraph;
 use nexus_query::parse;
@@ -90,7 +94,6 @@ use nexus_telemetry::{
     Counter, Gauge, Histogram, MetricValue, Registry as MetricsRegistry, TraceBuilder, TraceRing,
 };
 
-use crate::cache::LruCache;
 use crate::net::{deadline_tick, read_envelope_deadline, DeadlineStream, ReadError};
 use crate::registry::{DatasetRegistry, DatasetSource, DatasetSpec, RegistryError};
 use crate::wire::{
@@ -144,8 +147,6 @@ pub struct ServerOptions {
     /// Pipeline options shared by every request (their fingerprint is part
     /// of the cache key).
     pub nexus: NexusOptions,
-    /// Result-cache capacity in entries.
-    pub cache_capacity: usize,
     /// Maximum pipeline runs in flight; further requests queue.
     pub max_concurrent: usize,
     /// Maximum simultaneously served connections. An over-limit accept is
@@ -164,27 +165,30 @@ pub struct ServerOptions {
     /// further submissions draw an [`error_code::BUSY`] reply for their
     /// correlation id (the connection survives).
     pub max_inflight: usize,
-    /// Budget over the NXCOL-encoded bytes of resident dataset tables
-    /// (0 = unbounded). When a materialization pushes the gauge past the
-    /// budget, least-recently-used resident datasets are dropped; their
-    /// registrations survive and re-materialize on demand.
+    /// Byte budget of the one store that holds everything kept between
+    /// requests — resident datasets, KG extractions, sub-query units and
+    /// finished explanations (see [`nexus_core::MemoStore`]); `0` =
+    /// unbounded. Past it, least-recently-used entries are evicted; an
+    /// evicted dataset keeps its registration and re-materializes on
+    /// demand, an evicted explanation is recomputed.
     pub max_resident_bytes: u64,
     /// Most recent request span traces retained for [`Frame::TraceRequest`]
     /// (0 disables span recording entirely; the hot path then pays
     /// nothing). Past capacity the oldest trace is dropped and the
     /// `trace.evicted` counter increments — memory stays bounded.
     pub trace_capacity: usize,
-    /// Byte budget of the sub-query memo store (contingency tables,
-    /// selection vectors, CMI terms, extraction columns shared across
-    /// requests; see [`nexus_core::MemoStore`]). `0` = unbounded.
-    pub max_memo_bytes: u64,
 }
+
+/// The default [`ServerOptions::max_resident_bytes`]: 1 GiB. One
+/// full-scale Flights dataset (5,819,079 rows) is charged 385 MiB; with
+/// 256 MiB of memoized sub-queries and results on top, that rounds up to
+/// the next power of two. DESIGN.md §10 records the measurement.
+pub const DEFAULT_MAX_RESIDENT_BYTES: u64 = 1 << 30;
 
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             nexus: NexusOptions::default(),
-            cache_capacity: 256,
             max_concurrent: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(2),
@@ -192,20 +196,10 @@ impl Default for ServerOptions {
             io_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
             max_inflight: 128,
-            max_resident_bytes: 0,
+            max_resident_bytes: DEFAULT_MAX_RESIDENT_BYTES,
             trace_capacity: 64,
-            max_memo_bytes: 256 << 20,
         }
     }
-}
-
-/// Result-cache key. The canonical signature string (not just its hash)
-/// keeps collisions impossible; dataset and options enter as fingerprints.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    signature: String,
-    dataset_fp: u64,
-    options_fp: u64,
 }
 
 /// A finished-handler signal shared between handler threads and the
@@ -378,7 +372,6 @@ struct Inner {
     registry: DatasetRegistry,
     nexus: Nexus,
     options_fp: u64,
-    cache: Mutex<LruCache<CacheKey, Arc<Vec<u8>>>>,
     /// Bounds concurrent pipeline runs; requests queue on it.
     gate: Semaphore,
     /// Bounds concurrent connections; over-limit accepts are rejected with
@@ -397,9 +390,9 @@ struct Inner {
     m: ServeMetrics,
     /// Bounded ring of finished request span traces.
     traces: TraceRing,
-    /// The sub-query memo store shared by every request (and by the
-    /// registry's extraction materializations): byte-budgeted LRU with
-    /// single-flight admission, keyed under each dataset's fingerprint.
+    /// The one store behind every request and the registry: datasets,
+    /// extractions, sub-query units and finished explanations, a
+    /// byte-budgeted LRU with single-flight admission.
     memo: Arc<MemoStore>,
     shutdown: AtomicBool,
     /// Counting-kernel counters at server construction; `stats()` reports
@@ -424,12 +417,12 @@ impl Server {
         let options_fp = options.nexus.fingerprint();
         let metrics = MetricsRegistry::new();
         let m = ServeMetrics::new(&metrics);
+        let memo = Arc::new(MemoStore::new(options.max_resident_bytes));
         Server {
             inner: Arc::new(Inner {
-                registry: DatasetRegistry::new(options.max_resident_bytes),
+                registry: DatasetRegistry::new(Arc::clone(&memo)),
                 nexus: Nexus::new(options.nexus),
                 options_fp,
-                cache: Mutex::new(LruCache::new(options.cache_capacity)),
                 gate: Semaphore::new(options.max_concurrent),
                 conns: Arc::new(Semaphore::new(options.max_connections)),
                 io_timeout: options.io_timeout,
@@ -438,7 +431,7 @@ impl Server {
                 metrics,
                 m,
                 traces: TraceRing::new(options.trace_capacity),
-                memo: Arc::new(MemoStore::new(options.max_memo_bytes)),
+                memo,
                 shutdown: AtomicBool::new(false),
                 kernel_baseline: nexus_info::kernel::counters().snapshot(),
                 #[cfg(test)]
@@ -471,7 +464,7 @@ impl Server {
         );
         self.inner
             .registry
-            .ensure_resident(&name, &self.inner.nexus.options, Some(&self.inner.memo))
+            .ensure_resident(&name, &self.inner.nexus.options)
             .map(|_| ())
             .map_err(registry_to_serve)
     }
@@ -541,8 +534,8 @@ impl Server {
 
     /// Folds component state the registry does not own — the
     /// process-global kernel counters (as deltas since server
-    /// construction), the connection semaphore, the result cache, the
-    /// dataset registry, and the trace ring — into bridge gauges, so one
+    /// construction), the connection semaphore, the store, the dataset
+    /// registry, and the trace ring — into bridge gauges, so one
     /// registry snapshot describes the whole server.
     fn bridge_component_metrics(&self) {
         let r = &self.inner.metrics;
@@ -579,25 +572,26 @@ impl Server {
             r.gauge(&format!("memo.misses.{}", kind.label()))
                 .set(kernel.memo_misses[i]);
         }
-        r.gauge("memo.resident_bytes")
-            .set(self.inner.memo.resident_bytes());
+        let memo = &self.inner.memo;
+        r.gauge("memo.resident_bytes").set(memo.resident_bytes());
         r.gauge("memo.resident_entries")
-            .set(self.inner.memo.resident_entries() as u64);
-        r.gauge("memo.max_bytes").set(self.inner.memo.max_bytes());
+            .set(memo.resident_entries() as u64);
+        r.gauge("memo.max_bytes").set(memo.max_bytes());
         r.gauge("serve.cache.entries")
-            .set(self.inner.cache.lock().unwrap().len() as u64);
+            .set(memo.usage(MemoKind::Result).entries);
         r.gauge("serve.conns.accepted")
             .set(self.inner.conns.admitted());
         r.gauge("serve.conns.busy_rejections")
             .set(self.inner.conns.rejected());
         let reg = &self.inner.registry;
+        let datasets = memo.usage(MemoKind::Dataset);
         r.gauge("registry.datasets.registered")
             .set(reg.registered());
-        r.gauge("registry.datasets.resident")
-            .set(reg.resident_count());
+        r.gauge("registry.datasets.resident").set(datasets.entries);
         r.gauge("registry.datasets.loaded").set(reg.loads());
-        r.gauge("registry.datasets.evicted").set(reg.evictions());
-        r.gauge("registry.store.bytes").set(reg.resident_bytes());
+        r.gauge("registry.datasets.evicted")
+            .set(datasets.evictions + reg.evictions());
+        r.gauge("registry.store.bytes").set(datasets.bytes);
         r.gauge("registry.extraction.builds")
             .set(reg.extraction_builds());
         r.gauge("registry.fingerprint")
@@ -841,11 +835,11 @@ impl Server {
         // Materializes the dataset if it is registered but not resident
         // (first touch after a lazy load or an eviction); a warm dataset
         // is an `Arc` clone.
-        let dataset = match self.inner.registry.ensure_resident(
-            &req.dataset,
-            &self.inner.nexus.options,
-            Some(&self.inner.memo),
-        ) {
+        let dataset = match self
+            .inner
+            .registry
+            .ensure_resident(&req.dataset, &self.inner.nexus.options)
+        {
             Ok(d) => d,
             Err(RegistryError::Unknown(_)) => {
                 return error(
@@ -869,30 +863,29 @@ impl Server {
             .as_ref()
             .map(|n| n.options.fingerprint())
             .unwrap_or(self.inner.options_fp);
-        let key = CacheKey {
-            signature: query.canonical_signature(),
-            dataset_fp: dataset.fingerprint,
+        let key = MemoKey::new(
+            MemoKind::Result,
+            dataset.fingerprint,
             options_fp,
-        };
+            0,
+            query.canonical_signature(),
+        );
 
-        // Fast path: echo the cached bytes verbatim. No pipeline, no pool.
-        let cached = self.inner.cache.lock().unwrap().get(&key).cloned();
-        if let Some(bytes) = cached {
-            let hits = self.inner.m.hits.add(1);
-            let service_nanos = arrived.elapsed().as_nanos() as u64;
-            self.inner.m.service_nanos.record(service_nanos);
-            return Frame::Explanation(ExplanationReplyWire {
-                explanation: bytes.as_ref().clone(),
-                stats: ServeStatsWire {
-                    cache_hit: true,
-                    cache_hits: hits,
-                    cache_misses: self.inner.m.misses.get(),
-                    scored_tasks: 0,
-                    queue_nanos: 0,
-                    service_nanos,
-                },
-            });
-        }
+        // Fast path: echo the stored bytes verbatim. No pipeline, no pool.
+        // An identical request already in flight is waited for, holding no
+        // pipeline slot; if it fails, this request is elected to build.
+        let memo = &self.inner.memo;
+        let ticket = match memo.claim(&key) {
+            Claim::Hit(bytes) => return self.stored_reply(bytes, arrived),
+            Claim::Build(ticket) => ticket,
+            Claim::Wait => match memo.wait(&key) {
+                WaitOutcome::Ready(_) if ctl.check().is_err() => {
+                    return error(error_code::CANCELLED, "request cancelled")
+                }
+                WaitOutcome::Ready(bytes) => return self.stored_reply(bytes, arrived),
+                WaitOutcome::Build(ticket) => ticket,
+            },
+        };
         let misses = self.inner.m.misses.add(1);
 
         // Cold path: wait for a pipeline slot, then run the
@@ -923,7 +916,9 @@ impl Server {
         // fingerprint: concurrent cold requests coalesce onto one builder
         // per sub-computation, warm requests skip the counting pool tasks
         // entirely, and the bytes that come out are identical either way.
-        let memo = MemoHandle::new(Arc::clone(&self.inner.memo), dataset.fingerprint);
+        // A cancel, error or panic from here on drops the result ticket,
+        // so nothing is cached and a waiter takes over.
+        let memo = MemoHandle::new(Arc::clone(memo), dataset.fingerprint);
         let ctl = ctl.with_memo(&memo);
         let refs: Vec<&ColumnExtraction> = dataset.extractions.iter().map(Arc::as_ref).collect();
         let request = ExplainRequest::new()
@@ -933,11 +928,7 @@ impl Server {
         match nexus.run_controlled(&request, ctl) {
             Ok((explanation, _artifacts)) => {
                 let bytes = Arc::new(explanation_to_wire(&explanation).encode());
-                self.inner
-                    .cache
-                    .lock()
-                    .unwrap()
-                    .insert(key, Arc::clone(&bytes));
+                ticket.publish(bytes.clone(), bytes.len() as u64);
                 let service_nanos = arrived.elapsed().as_nanos() as u64;
                 self.inner.m.queue_nanos.record(queue_nanos);
                 self.inner.m.service_nanos.record(service_nanos);
@@ -957,6 +948,28 @@ impl Server {
             Err(CoreError::Aborted) => error(error_code::CANCELLED, "request cancelled"),
             Err(e) => error(error_code::PIPELINE, e.to_string()),
         }
+    }
+
+    /// The reply for a stored result: its bytes verbatim, counted as a
+    /// cache hit with no pipeline work.
+    fn stored_reply(&self, bytes: MemoValue, arrived: Instant) -> Frame {
+        let bytes = bytes
+            .downcast::<Vec<u8>>()
+            .expect("result entries hold encoded bytes");
+        let hits = self.inner.m.hits.add(1);
+        let service_nanos = arrived.elapsed().as_nanos() as u64;
+        self.inner.m.service_nanos.record(service_nanos);
+        Frame::Explanation(ExplanationReplyWire {
+            explanation: bytes.as_ref().clone(),
+            stats: ServeStatsWire {
+                cache_hit: true,
+                cache_hits: hits,
+                cache_misses: self.inner.m.misses.get(),
+                scored_tasks: 0,
+                queue_nanos: 0,
+                service_nanos,
+            },
+        })
     }
 
     /// Serves NEXUSRPC on a Unix socket at `path` until a `Shutdown` frame
@@ -1713,6 +1726,74 @@ mod tests {
         assert!(session.is_finished(), "the session must drain and exit");
         session.join().expect("session thread exits cleanly");
         assert_eq!(server.inner.m.panics.get(), 1);
+    }
+
+    #[test]
+    fn a_coalesced_waiter_cancelled_meanwhile_answers_cancelled() {
+        use crate::wire::{CallOverrides, ExplainRequestWire};
+        use nexus_datagen::{load, queries_for, DatasetKind, Scale};
+
+        let d = load(DatasetKind::Covid, Scale::Small);
+        let server = Server::new(ServerOptions::default());
+        server
+            .add_dataset("covid", d.table, d.kg, d.extraction_columns)
+            .expect("dataset loads");
+        let sql = queries_for(DatasetKind::Covid)[0].sql;
+        let req = ExplainRequestWire {
+            dataset: "covid".into(),
+            sql: sql.into(),
+            overrides: CallOverrides::default(),
+        };
+        // Stand in for an identical request in flight: hold the build
+        // ticket of this request's result key.
+        let inner = &server.inner;
+        let dataset = inner
+            .registry
+            .ensure_resident("covid", &inner.nexus.options)
+            .unwrap();
+        let key = MemoKey::new(
+            MemoKind::Result,
+            dataset.fingerprint,
+            inner.options_fp,
+            0,
+            parse(sql).unwrap().canonical_signature(),
+        );
+        let Claim::Build(ticket) = inner.memo.claim(&key) else {
+            panic!("a fresh server has no stored result");
+        };
+        let abort = AtomicBool::new(false);
+        let waits = || {
+            nexus_info::kernel::counters()
+                .snapshot()
+                .memo_coalesced_waits
+        };
+        let before = waits();
+        let reply = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let ctl = RunControl {
+                    abort: Some(&abort),
+                    ..RunControl::default()
+                };
+                server.explain_ctl(&req, ctl)
+            });
+            // Cancel once the request has parked on the build.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while waits() == before && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            abort.store(true, Ordering::SeqCst);
+            ticket.publish(Arc::new(b"stored".to_vec()), 6);
+            waiter.join().unwrap()
+        });
+        match reply {
+            Frame::Error(e) => assert_eq!(e.code, error_code::CANCELLED),
+            other => panic!("expected CANCELLED, got {other:?}"),
+        }
+        // The builder's bytes were stored all the same.
+        match server.handle(Frame::Explain(req)) {
+            Frame::Explanation(r) => assert_eq!(r.explanation, b"stored"),
+            other => panic!("expected the stored bytes, got {other:?}"),
+        }
     }
 
     #[test]

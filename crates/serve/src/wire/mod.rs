@@ -625,11 +625,12 @@ pub struct ServerStatsWire {
     /// Cumulative dataset materializations (cold loads plus reloads after
     /// eviction). A warm request leaves this flat.
     pub datasets_loaded: u64,
-    /// Resident datasets dropped by the registry's byte-budget LRU (or an
-    /// explicit `EvictDataset`).
+    /// Resident datasets dropped by the store's byte budget, an explicit
+    /// `EvictDataset`, or a re-registration under the same name.
     pub dataset_evictions: u64,
-    /// NXCOL-encoded bytes of all resident tables — the gauge the
-    /// registry's `max_resident_bytes` budget bounds.
+    /// Bytes the store charges all resident datasets: the approximate
+    /// in-memory size of their tables and KGs. Part of what the server's
+    /// one `max_resident_bytes` budget bounds.
     pub store_bytes: u64,
     /// Cumulative per-column KG extraction builds. Flat across warm
     /// requests: the proof that a resident dataset is never re-mined.
@@ -837,7 +838,8 @@ pub struct DatasetEntryWire {
     pub resident: bool,
     /// Table rows (0 when not resident).
     pub rows: u64,
-    /// NXCOL-encoded size of the resident table (0 when not resident).
+    /// Bytes the store charges the resident dataset: the approximate
+    /// in-memory size of its table and KG (0 when not resident).
     pub store_bytes: u64,
     /// Dataset fingerprint from the last materialization (0 if the
     /// dataset has never been loaded).

@@ -251,6 +251,58 @@ fn cancel_aborts_a_queued_request_and_is_counted() {
 }
 
 #[test]
+fn identical_concurrent_cold_requests_run_the_pipeline_once() {
+    let server = dataset_server(2, 128);
+    let (mut client, server_end) = pipe();
+    let handler = serve_in_thread(&server, server_end);
+    let sql = queries_for(DatasetKind::Covid)[0].sql;
+
+    // Two identical explains in flight at once on a fresh server: one
+    // runs the pipeline, the other waits for its bytes.
+    handshake(&mut client);
+    send(&mut client, 1, explain_frame(sql));
+    send(&mut client, 2, explain_frame(sql));
+    let (finals, _, _, _) = collect_finals(&mut client, &[1, 2]);
+    let replies: Vec<_> = [1, 2]
+        .iter()
+        .map(|corr| match &finals[corr] {
+            Frame::Explanation(r) => r.clone(),
+            other => panic!("corr {corr}: expected Explanation, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(replies[0].explanation, replies[1].explanation);
+    let hot: Vec<_> = replies.iter().filter(|r| r.stats.cache_hit).collect();
+    assert_eq!(
+        hot.len(),
+        1,
+        "exactly one reply comes from the stored result"
+    );
+    assert_eq!(hot[0].stats.scored_tasks, 0);
+    assert_eq!(session_stats(&mut client, 3).cache_misses, 1);
+
+    // Cancelling the second of two identical requests answers CANCELLED,
+    // whether it was waiting for the first or building itself, and the
+    // first still explains.
+    let other = queries_for(DatasetKind::Covid)[1].sql;
+    send(&mut client, 4, explain_frame(other));
+    send(&mut client, 5, explain_frame(other));
+    send(&mut client, 5, Frame::Cancel);
+    let (finals, _, _, _) = collect_finals(&mut client, &[4, 5]);
+    assert!(
+        matches!(&finals[&4], Frame::Explanation(_)),
+        "{:?}",
+        finals[&4]
+    );
+    match &finals[&5] {
+        Frame::Error(e) => assert_eq!(e.code, error_code::CANCELLED, "message: {}", e.message),
+        other => panic!("corr 5 must be cancelled, got {other:?}"),
+    }
+
+    drop(client);
+    handler.join().expect("handler exits on close");
+}
+
+#[test]
 fn cancelling_an_unknown_correlation_id_is_ignored() {
     let server = dataset_server(2, 128);
     let (mut client, server_end) = pipe();

@@ -1,14 +1,17 @@
 //! Integration tests for the multi-dataset registry: explanations served
 //! from a packed NXCOL store are byte-identical to in-memory serving,
 //! warm requests skip re-ingest and KG re-extraction (asserted on
-//! counters, never wall-clock), the byte-budget LRU evicts and reloads
-//! transparently, and corrupted store files are refused with typed
-//! errors.
+//! counters, never wall-clock), concurrent first touches share one load,
+//! the store's one byte budget evicts and reloads transparently, and
+//! corrupted store files are refused with typed errors.
 
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 use nexus_datagen::{load, queries_for, DatasetKind, Scale};
-use nexus_serve::wire::{error_code, EvictDatasetWire, ExplainRequestWire, Frame, LoadDatasetWire};
+use nexus_serve::wire::{
+    error_code, CallOverrides, EvictDatasetWire, ExplainRequestWire, Frame, LoadDatasetWire,
+};
 use nexus_serve::{ServeError, Server, ServerOptions};
 
 const KIND: DatasetKind = DatasetKind::Covid;
@@ -57,10 +60,14 @@ impl Drop for Packed {
 }
 
 fn explain(server: &Server, dataset: &str, sql: &str) -> Vec<u8> {
+    explain_with(server, dataset, sql, CallOverrides::default())
+}
+
+fn explain_with(server: &Server, dataset: &str, sql: &str, overrides: CallOverrides) -> Vec<u8> {
     let reply = server.handle(Frame::Explain(ExplainRequestWire {
         dataset: dataset.into(),
         sql: sql.into(),
-        overrides: Default::default(),
+        overrides,
     }));
     match reply {
         Frame::Explanation(r) => r.explanation,
@@ -194,13 +201,53 @@ fn evicted_datasets_reload_transparently() {
 }
 
 #[test]
+fn concurrent_first_touches_load_the_dataset_once() {
+    let packed = Packed::create("first-touch");
+    let sql = queries_for(KIND)[0].sql;
+    let srv = Server::new(ServerOptions::default());
+    packed.register(&srv, "covid").unwrap();
+
+    // Four requests make the first touch at once: one loads the NXCOL
+    // file and runs the pipeline, the others wait for its results.
+    let barrier = Barrier::new(4);
+    let replies: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    explain(&srv, "covid", sql)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert!(
+        replies.windows(2).all(|w| w[0] == w[1]),
+        "every first touch must serve the same bytes"
+    );
+    let s = srv.stats();
+    assert_eq!(
+        s.datasets_loaded, 1,
+        "concurrent first touches share one load"
+    );
+    assert_eq!(s.extraction_builds, packed.extraction_columns.len() as u64);
+    assert_eq!((s.cache_misses, s.cache_hits), (1, 3));
+}
+
+#[test]
 fn byte_budget_bounds_the_resident_set() {
     let packed = Packed::create("budget");
     let sql = queries_for(KIND)[0].sql;
-    // A 1-byte budget holds no two datasets at once (a single over-budget
-    // dataset still serves: the budget bounds the set, not one member).
+    // Probe what serving `a` leaves in the store and what one dataset is
+    // charged. The budget is one byte short of holding that plus `b`'s
+    // dataset, so the two datasets never stay resident together (a single
+    // over-budget dataset still serves: the budget bounds the set).
+    let probe = Server::new(ServerOptions::default());
+    packed.register(&probe, "a").unwrap();
+    explain(&probe, "a", sql);
+    let p = probe.stats();
     let srv = Server::new(ServerOptions {
-        max_resident_bytes: 1,
+        max_resident_bytes: p.memo_resident_bytes + p.store_bytes - 1,
         ..ServerOptions::default()
     });
     packed.register(&srv, "a").unwrap();
@@ -218,6 +265,92 @@ fn byte_budget_bounds_the_resident_set() {
     // The victim reloads on demand — correctness is unaffected.
     assert_eq!(explain(&srv, "a", sql), b);
     assert_eq!(srv.stats().datasets_loaded, 3);
+}
+
+#[test]
+fn one_budget_bounds_the_store_under_a_mixed_burst() {
+    // Two datasets, each asked four top-k variants, then the whole plan
+    // again (repeats). Selection-bias weighting is off: it would only
+    // make each request slower, not the store's traffic different.
+    let datasets = [DatasetKind::Covid, DatasetKind::Forbes];
+    let variants: Vec<CallOverrides> = [None, Some(1), Some(2), Some(3)]
+        .into_iter()
+        .map(|top_k| CallOverrides {
+            top_k,
+            weights: Some(false),
+            ..CallOverrides::default()
+        })
+        .collect();
+    let mut plan = Vec::new();
+    for _ in 0..2 {
+        for kind in datasets {
+            for overrides in &variants {
+                plan.push((kind, overrides.clone()));
+            }
+        }
+    }
+    let server = |max_resident_bytes: u64| {
+        let srv = Server::new(ServerOptions {
+            max_resident_bytes,
+            ..ServerOptions::default()
+        });
+        for kind in datasets {
+            let d = load(kind, Scale::Small);
+            srv.add_dataset(format!("{kind:?}"), d.table, d.kg, d.extraction_columns)
+                .unwrap();
+        }
+        srv
+    };
+    let run = |srv: &Server, kind: DatasetKind, overrides: &CallOverrides| {
+        let sql = queries_for(kind)[0].sql;
+        explain_with(srv, &format!("{kind:?}"), sql, overrides.clone())
+    };
+
+    let unbounded = server(0);
+    let reference: Vec<Vec<u8>> = plan.iter().map(|(k, o)| run(&unbounded, *k, o)).collect();
+    let all = unbounded.stats().memo_resident_bytes;
+    let largest_dataset = match unbounded.handle(Frame::ListDatasets) {
+        Frame::DatasetList(list) => list.datasets.iter().map(|d| d.store_bytes).max().unwrap(),
+        other => panic!("expected DatasetList, got {other:?}"),
+    };
+    // Room for the largest dataset plus half of everything else: smaller
+    // than what the burst keeps when nothing is evicted.
+    let budget = largest_dataset + (all - largest_dataset) / 2;
+    assert!(budget < all);
+
+    let bounded = server(budget);
+    for (i, (kind, overrides)) in plan.iter().enumerate() {
+        assert_eq!(
+            run(&bounded, *kind, overrides),
+            reference[i],
+            "request {i} must serve the unbounded server's bytes"
+        );
+        let resident = bounded.stats().memo_resident_bytes;
+        assert!(
+            resident <= budget,
+            "request {i}: {resident} resident bytes over the {budget}-byte budget"
+        );
+    }
+    assert!(
+        bounded.stats().memo_resident_bytes < all,
+        "the budget must have evicted something"
+    );
+}
+
+/// The measurement behind the default budget: one full-scale Flights
+/// table plus the 256 MiB the sub-query memo used to default to must fit.
+/// A dataset entry is charged its table and KG estimates. Ignored by
+/// default because generating 5.8M rows takes a while; run it with
+/// `cargo test --release -p nexus-serve --test registry -- --ignored
+/// --nocapture` to print the charge.
+#[test]
+#[ignore]
+fn full_scale_flights_fits_the_default_budget() {
+    let d = load(DatasetKind::Flights, Scale::Paper);
+    assert_eq!(d.table.n_rows(), 5_819_079);
+    let charge = d.table.approx_bytes() + d.kg.approx_bytes();
+    println!("full-scale Flights dataset charge: {charge} bytes");
+    assert!(charge + (256 << 20) <= ServerOptions::default().max_resident_bytes);
 }
 
 #[test]

@@ -362,6 +362,21 @@ impl Column {
         self.validity.as_ref()
     }
 
+    /// Approximate heap footprint in bytes: the values, the dictionary
+    /// strings, and the validity words.
+    pub fn approx_bytes(&self) -> u64 {
+        let data = match &self.data {
+            ColumnData::Int64(v) => v.len() * 8,
+            ColumnData::Float64(v) => v.len() * 8,
+            ColumnData::Utf8(a) => {
+                a.codes.len() * 4 + a.dict.iter().map(|s| s.len() + 24).sum::<usize>()
+            }
+            ColumnData::Bool(v) => v.len(),
+        };
+        let validity = self.validity.as_ref().map_or(0, |v| v.words().len() * 8);
+        (data + validity) as u64
+    }
+
     /// Whether row `i` is null.
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {

@@ -70,6 +70,13 @@ impl Table {
         self.columns.len()
     }
 
+    /// Approximate heap footprint in bytes: every column plus the schema
+    /// names (see [`Column::approx_bytes`]).
+    pub fn approx_bytes(&self) -> u64 {
+        let names: usize = self.schema.names().iter().map(|n| n.len() + 48).sum();
+        self.columns.iter().map(Column::approx_bytes).sum::<u64>() + names as u64
+    }
+
     /// The table schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -14,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ALL_STEPS="fmt clippy build test bench bench_refs server_smoke store_smoke \
-abuse_smoke pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
+budget_smoke abuse_smoke pipeline_smoke cancel_smoke memo_smoke telemetry_smoke"
 TIMINGS="target/ci-step-timings.md"
 
 BIN=target/release/nexus-cli
@@ -302,6 +302,61 @@ step_store_smoke() {
 
     shutdown_daemon "$sock"
     echo "    pack deterministic; store-served == CSV-served; lazy load, evict, reload verified"
+}
+
+# Prints the value of one Prometheus metric line from a `metrics` dump.
+metric_value() {
+    awk -v name="$1" '$1 == name { print $2 }' "$2"
+}
+
+step_budget_smoke() {
+    echo "==> budget smoke test (one --max-resident-bytes bounds datasets, memo and results)"
+    make_tiny_fixture
+    local nx="$SMOKE_DIR/budget.nxcol"
+    "$BIN" pack --table "$CSV" --out "$nx" > /dev/null
+    local sock="$SMOKE_DIR/budget.sock"
+
+    # Probe, unbounded: what serving one query leaves in the store, and
+    # what the store charges its dataset.
+    "$BIN" serve --socket "$sock" --store "$nx" --kg "$KG" --extract Country \
+        --max-resident-bytes 0 2> "$SMOKE_DIR/budget_probe.log" &
+    SERVE_PID=$!
+    wait_for_socket "$sock" "$SMOKE_DIR/budget_probe.log"
+    "$BIN" submit --socket "$sock" --sql "$SQL" > /dev/null 2> /dev/null
+    "$BIN" metrics --socket "$sock" > "$SMOKE_DIR/budget_probe.txt"
+    shutdown_daemon "$sock"
+    local resident dataset
+    resident=$(metric_value memo_resident_bytes "$SMOKE_DIR/budget_probe.txt")
+    dataset=$(metric_value registry_store_bytes "$SMOKE_DIR/budget_probe.txt")
+
+    # One byte short of also holding a second copy's dataset: the store
+    # holds one dataset but not two.
+    local budget=$((resident + dataset - 1))
+    "$BIN" serve --socket "$sock" --store "$nx" --kg "$KG" --extract Country \
+        --max-resident-bytes "$budget" 2> "$SMOKE_DIR/budget_serve.log" &
+    SERVE_PID=$!
+    wait_for_socket "$sock" "$SMOKE_DIR/budget_serve.log"
+    "$BIN" datasets --socket "$sock" --load copy --store "$nx" --kg "$KG" \
+        --extract Country 2> /dev/null
+    "$BIN" submit --socket "$sock" --sql "$SQL" \
+        > "$SMOKE_DIR/budget_first.txt" 2> /dev/null
+    "$BIN" submit --socket "$sock" --dataset copy --sql "$SQL" \
+        > "$SMOKE_DIR/budget_copy.txt" 2> /dev/null
+    diff "$SMOKE_DIR/direct.txt" "$SMOKE_DIR/budget_first.txt"
+    diff "$SMOKE_DIR/direct.txt" "$SMOKE_DIR/budget_copy.txt"
+
+    "$BIN" metrics --socket "$sock" > "$SMOKE_DIR/budget_metrics.txt"
+    local evicted now max
+    evicted=$(metric_value registry_datasets_evicted "$SMOKE_DIR/budget_metrics.txt")
+    now=$(metric_value memo_resident_bytes "$SMOKE_DIR/budget_metrics.txt")
+    max=$(metric_value memo_max_bytes "$SMOKE_DIR/budget_metrics.txt")
+    if [ "$max" -ne "$budget" ] || [ "$evicted" -lt 1 ] || [ "$now" -gt "$max" ]; then
+        echo "budget $budget: max_bytes=$max evicted=$evicted resident=$now" >&2
+        exit 1
+    fi
+
+    shutdown_daemon "$sock"
+    echo "    second dataset evicted the first under a one-dataset budget; store within budget"
 }
 
 step_abuse_smoke() {

@@ -22,9 +22,10 @@
 //! nexus-cli pack --table data.csv --out data.nxcol
 //! nexus-cli inspect --store data.nxcol
 //!
-//! # Serve straight from the store (lazy materialization, LRU-bounded):
+//! # Serve straight from the store (lazy materialization; one byte
+//! # budget bounds datasets, memoized sub-queries and results together):
 //! nexus-cli serve --socket /tmp/nexus.sock --store data.nxcol \
-//!           --kg knowledge.tsv --extract Country [--max-store-bytes N]
+//!           --kg knowledge.tsv --extract Country [--max-resident-bytes N]
 //!
 //! # Manage the dataset registry of a running server:
 //! nexus-cli datasets --socket /tmp/nexus.sock --list
@@ -66,9 +67,9 @@ fn usage() -> ! {
          (--table <csv> (--kg <triples.tsv> | --lake <dir>) | --store <nxcol> [--kg <triples.tsv>]) \
          --extract <column>...\n\
          \x20         [--name <dataset>] [--k N] [--hops N] [--threads N] [--no-pruning] \
-         [--cache N] [--max-concurrent N]\n\
+         [--max-concurrent N]\n\
          \x20         [--max-conns N] [--io-timeout-ms N] [--drain-timeout-ms N] \
-         [--max-store-bytes N] [--max-memo-bytes N]\n\
+         [--max-resident-bytes N]\n\
          \x20 nexus-cli pack --table <csv> --out <nxcol>\n\
          \x20 nexus-cli inspect --store <nxcol>\n\
          \x20 nexus-cli datasets (--socket <path> | --tcp <addr>) \
@@ -112,15 +113,13 @@ struct ServeArgs {
     socket: Option<String>,
     tcp: Option<String>,
     name: String,
-    cache: usize,
     max_concurrent: usize,
     max_conns: usize,
     io_timeout_ms: u64,
     drain_timeout_ms: u64,
-    /// Registry byte budget for resident datasets (0 = unbounded).
-    max_store_bytes: u64,
-    /// Sub-query memo byte budget override (`Some(0)` = unbounded).
-    max_memo_bytes: Option<u64>,
+    /// Byte budget override of the server's one store: datasets,
+    /// memoized sub-queries and results (`Some(0)` = unbounded).
+    max_resident_bytes: Option<u64>,
     /// Trace-ring capacity override (`Some(0)` disables tracing).
     trace_capacity: Option<usize>,
 }
@@ -219,7 +218,6 @@ fn parse_command() -> Command {
     let mut tcp = None;
     let mut name = "default".to_string();
     let mut dataset = "default".to_string();
-    let mut cache = 256;
     let mut max_concurrent = 0usize;
     let mut max_conns = 0usize;
     let mut io_timeout_ms = 0u64;
@@ -235,8 +233,7 @@ fn parse_command() -> Command {
     let mut mode = String::new();
     let (mut shutdown, mut ping, mut stats) = (false, false, false);
     let mut out = String::new();
-    let mut max_store_bytes = 0u64;
-    let mut max_memo_bytes: Option<u64> = None;
+    let mut max_resident_bytes: Option<u64> = None;
     let mut load = None;
     let mut evict = None;
     let mut list = false;
@@ -266,7 +263,6 @@ fn parse_command() -> Command {
             "--tcp" => tcp = Some(value(&mut i, &argv)),
             "--name" => name = value(&mut i, &argv),
             "--dataset" => dataset = value(&mut i, &argv),
-            "--cache" => cache = number(&mut i, &argv),
             "--max-concurrent" => max_concurrent = number(&mut i, &argv),
             "--max-conns" => max_conns = number(&mut i, &argv),
             "--io-timeout-ms" => io_timeout_ms = number(&mut i, &argv) as u64,
@@ -281,8 +277,7 @@ fn parse_command() -> Command {
             "--trace-capacity" => trace_capacity = Some(number(&mut i, &argv)),
             "--mode" => mode = value(&mut i, &argv),
             "--out" => out = value(&mut i, &argv),
-            "--max-store-bytes" => max_store_bytes = number(&mut i, &argv) as u64,
-            "--max-memo-bytes" => max_memo_bytes = Some(number(&mut i, &argv) as u64),
+            "--max-resident-bytes" => max_resident_bytes = Some(number(&mut i, &argv) as u64),
             "--load" => load = Some(value(&mut i, &argv)),
             "--evict" => evict = Some(value(&mut i, &argv)),
             "--list" => list = true,
@@ -342,13 +337,11 @@ fn parse_command() -> Command {
                 socket,
                 tcp,
                 name,
-                cache,
                 max_concurrent,
                 max_conns,
                 io_timeout_ms,
                 drain_timeout_ms,
-                max_store_bytes,
-                max_memo_bytes,
+                max_resident_bytes,
                 trace_capacity,
             })
         }
@@ -696,8 +689,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
     let nexus = build_options(&args.data)?;
     let mut options = ServerOptions {
         nexus,
-        cache_capacity: args.cache,
-        max_resident_bytes: args.max_store_bytes,
         ..ServerOptions::default()
     };
     if args.max_concurrent > 0 {
@@ -712,8 +703,8 @@ fn run_serve(args: &ServeArgs) -> Result<(), String> {
     if args.drain_timeout_ms > 0 {
         options.drain_timeout = std::time::Duration::from_millis(args.drain_timeout_ms);
     }
-    if let Some(bytes) = args.max_memo_bytes {
-        options.max_memo_bytes = bytes;
+    if let Some(bytes) = args.max_resident_bytes {
+        options.max_resident_bytes = bytes;
     }
     if let Some(capacity) = args.trace_capacity {
         options.trace_capacity = capacity;
